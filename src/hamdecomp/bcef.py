@@ -1,4 +1,4 @@
-"""Backtracking solver based on chain edge fixing.
+"""Backtracking solver based on chain edge fixing: moves for the shared driver.
 
 Every decision is followed by a forced-assignment cascade: in the directed
 case fixing an arc (i, j) into one component sends i's other out-arc and j's
@@ -7,32 +7,33 @@ reaches two fixed edges in one component sends its remaining free edges to the
 other. Cascades run breadth-first off a work queue, touch each edge at most
 once, and leave all performed fixes on the trail so the caller can undo to a
 mark after a failure.
+
+``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
+z subtree has failed. A candidate that an earlier cascade already put in z
+is taken without a move and cannot be refuted, so its failure closes the
+node; one already in w is skipped.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
 from .errors import AlreadyFixedError
-from .multigraph import HamCycle, Mode, UnionMultigraph, cycle_edge_multiset, parallel_edge_pairs
-from .result import SolveResult, SolveStats, SolveStatus
+from .multigraph import HamCycle, Mode, UnionMultigraph, parallel_edge_pairs
+from .result import SolveResult
 from .state import (
     CLOSES_NON_HAM_CYCLE,
     COMPLETES_COMPONENT,
     CONFLICT,
-    FAILURES,
     FREE,
     OK,
     W,
     Z,
-    BudgetClock,
-    BudgetExceeded,
     FixOutcome,
     PartialState,
     SolveLimits,
+    solve,
 )
-from .bsp import check_inputs
 
 
 def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> FixOutcome:
@@ -213,139 +214,54 @@ def solve_bcef(g: UnionMultigraph, x: HamCycle, y: HamCycle,
     ``validate`` runs a full-state invariant scan after every cascade; meant
     for debug runs and tests.
     """
-    check_inputs(g, x, y)
-    state = PartialState(g)
-    x_ms = cycle_edge_multiset(x)
-    y_ms = cycle_edge_multiset(y)
-    clock = BudgetClock(limits)
-    stats = SolveStats()
-    start = time.perf_counter()
-    try:
-        witness = _search(g, state, x_ms, y_ms, clock, stats, validate)
-        status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
-    except BudgetExceeded:
-        witness = None
-        status = SolveStatus.TIMED_OUT
-    stats.nodes = clock.nodes
-    stats.edges_fixed = state.edges_fixed
-    stats.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if witness:
-        return SolveResult(status, witness[0], witness[1], stats)
-    return SolveResult(status, stats=stats)
+    return solve(g, x, y, limits, lambda state: _moves(state, validate))
 
 
-def _search(g, state, x_ms, y_ms, clock, stats, validate):
+def _moves(state, validate):
+    g = state.g
+    assignment = state.assignment
+
     def scan():
         state.check_invariants()
         check_propagation_closure(state, g)
 
     def cascade(e, comp):
         r = chain_fix(state, e, comp, g)
-        if validate and r not in FAILURES:
+        if validate and r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
             scan()
         return r
 
-    # preprocessing plus the unbranched first fix count as the root node
-    clock.charge_node()
-    r = preprocess_parallel(state, g, after_fix=scan if validate else None)
-    if r in FAILURES:
-        return None
-    if state.is_complete():
-        return state.extract_decomposition() if state.differs_from_inputs(x_ms, y_ms) else None
+    def start():
+        r = preprocess_parallel(state, g, after_fix=scan if validate else None)
+        if r is not OK:
+            return r  # failed, or already complete
+        # The first free edge lands in one of the two cycles of any
+        # decomposition; naming that cycle z makes the choice branch-free.
+        return cascade(assignment.index(FREE), Z)
 
-    # The first free edge lands in one of the two cycles of any decomposition;
-    # naming that cycle z makes the choice branch-free.
-    e0 = state.assignment.index(FREE)
-    r = cascade(e0, Z)
-    if r in FAILURES:
-        return None
-    if state.is_complete():
-        return state.extract_decomposition() if state.differs_from_inputs(x_ms, y_ms) else None
-
-    # Iterative branch-and-propagate. Frame: [cands, idx, node_mark, cand_mark].
-    # cand_mark >= 0 marks a candidate whose Z-subtree is being explored;
-    # FORCED flags a candidate that was already in Z when its turn came, in
-    # which case a failed subtree exhausts the node.
-    FORCED = -2
-    frames = []
-    found = []
-
-    def push_node():
-        clock.charge_node()
+    def expand():
         if state.is_complete():
-            if state.differs_from_inputs(x_ms, y_ms):
-                found.append(state.extract_decomposition())
-            return False
+            return None
         sel = select_branch_edge(state, g)
-        if sel is None:
-            return False
-        frames.append([sel[1], 0, len(state.trail), -1])
-        if len(frames) > stats.max_depth:
-            stats.max_depth = len(frames)
-        return True
+        return None if sel is None else sel[1]
 
-    if not push_node():
-        return found[0] if found else None
-
-    assignment = state.assignment
-    while frames:
-        frame = frames[-1]
-        cand_mark = frame[3]
-        if cand_mark != -1:
-            # a Z-subtree for cands[idx-1] just failed
-            frame[3] = -1
-            if cand_mark == FORCED:
-                frame[1] = len(frame[0])  # the W alternative is contradictory
-                continue
-            state.undo_to(cand_mark)
-            e = frame[0][frame[1] - 1]
-            r = cascade(e, W)
-            if r in FAILURES:
-                frame[1] = len(frame[0])
-            elif state.is_complete():
-                if state.differs_from_inputs(x_ms, y_ms):
-                    found.append(state.extract_decomposition())
-                    break
-                frame[1] = len(frame[0])  # fully pinned and rejected
-            continue
-        cands = frame[0]
-        idx = frame[1]
-        if idx >= len(cands):
-            state.undo_to(frame[2])
-            frames.pop()
-            continue
-        frame[1] = idx + 1
-        e = cands[idx]
+    def take(e):
         a = assignment[e]
-        if a == W:
-            continue
-        if a == Z:
-            frame[3] = FORCED
-            if push_node():
-                continue
-            if found:
-                break
-            continue
-        mark = len(state.trail)
-        r = cascade(e, Z)
-        if r not in FAILURES:
-            frame[3] = mark
-            if push_node():
-                continue
-            if found:
-                break
-            continue
-        # immediate failure counts as a failed subtree: rule e out of Z
-        state.undo_to(mark)
-        r = cascade(e, W)
-        if r in FAILURES:
-            frame[1] = len(cands)
-        elif state.is_complete():
-            if state.differs_from_inputs(x_ms, y_ms):
-                found.append(state.extract_decomposition())
-                break
-            frame[1] = len(cands)
-    return found[0] if found else None
+        if a == FREE:
+            r = cascade(e, Z)
+            return OK if r is COMPLETES_COMPONENT else r
+        # an earlier cascade placed e already: in z the child needs no move,
+        # in w there is nothing to try
+        return OK if a == Z else CONFLICT
+
+    def refute(e):
+        a = assignment[e]
+        if a == FREE:
+            return cascade(e, W)
+        # already placed: in w the alternative holds, in z it contradicts
+        return OK if a == W else CONFLICT
+
+    return start, expand, take, refute
 
 
 def check_propagation_closure(state: PartialState, g: UnionMultigraph):

@@ -1,4 +1,4 @@
-"""Backtracking solver based on simple-path extension.
+"""Backtracking solver based on simple-path extension: moves for the shared driver.
 
 Component z grows as one simple path from vertex 1; every edge displaced at a
 saturated path vertex is forced into component w. A branch dies as soon as
@@ -6,104 +6,74 @@ either component closes a short cycle or w exceeds its degree bounds, both of
 which the state engine reports at fix time. When the path closes into a
 Hamiltonian cycle, all remaining free edges are flushed into w and the result
 is accepted only if z's edge multiset differs from both inputs.
+
+``take(e)`` extends the path by e and sends the displaced edges to w; when e
+closes the path it flushes the rest to w and asks for the state to be judged.
+There is no ``refute``: after a failed edge the driver just tries the next
+candidate at the same path head.
 """
 
 from __future__ import annotations
 
-import time
-
-from .errors import MismatchedInstancesError
-from .multigraph import HamCycle, Mode, UnionMultigraph, cycle_edge_multiset
-from .result import SolveResult, SolveStats, SolveStatus
-from .state import (
-    COMPLETES_COMPONENT,
-    FREE,
-    OK,
-    W,
-    Z,
-    BudgetClock,
-    BudgetExceeded,
-    PartialState,
-    SolveLimits,
-)
-
-
-def check_inputs(g: UnionMultigraph, x: HamCycle, y: HamCycle):
-    if x.n != y.n or x.mode is not y.mode:
-        raise MismatchedInstancesError(
-            f"cycles disagree: n={x.n}/{y.n}, mode={x.mode.value}/{y.mode.value}"
-        )
-    if g.n != x.n or g.mode is not x.mode:
-        raise MismatchedInstancesError(
-            f"graph does not match cycles: n={g.n}/{x.n}, mode={g.mode.value}/{x.mode.value}"
-        )
+from .multigraph import HamCycle, UnionMultigraph
+from .result import SolveResult
+from .state import COMPLETES_COMPONENT, FREE, OK, W, Z, SolveLimits, solve
 
 
 def solve_bsp(g: UnionMultigraph, x: HamCycle, y: HamCycle,
               limits: SolveLimits = SolveLimits()) -> SolveResult:
     """Decide whether the union admits a second decomposition, by path extension."""
-    check_inputs(g, x, y)
-    state = PartialState(g)
-    x_ms = cycle_edge_multiset(x)
-    y_ms = cycle_edge_multiset(y)
-    clock = BudgetClock(limits)
-    stats = SolveStats()
-    start = time.perf_counter()
-    try:
-        if g.mode is Mode.DIRECTED:
-            witness = _search_directed(g, state, x_ms, y_ms, clock, stats)
-        else:
-            witness = _search_undirected(g, state, x_ms, y_ms, clock, stats)
-        status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
-    except BudgetExceeded:
-        witness = None
-        status = SolveStatus.TIMED_OUT
-    stats.nodes = clock.nodes
-    stats.edges_fixed = state.edges_fixed
-    stats.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if witness:
-        return SolveResult(status, witness[0], witness[1], stats)
-    return SolveResult(status, stats=stats)
+    return solve(g, x, y, limits, _moves)
 
 
-def _flush_free_to_w(state, num_edges):
-    """Send every remaining free edge to w; False if w rejects one."""
-    assignment = state.assignment
-    for f in range(num_edges):
-        if assignment[f] == FREE:
-            r = state.fix_edge(f, W)
-            if r is not OK and r is not COMPLETES_COMPONENT:
-                return False
-    return True
-
-
-def _search_undirected(g, state, x_ms, y_ms, clock, stats):
-    n = g.n
-    inc = g.inc
+def _moves(state):
+    g = state.g
+    directed = state.directed
     tails = g.tails
     heads = g.heads
     assignment = state.assignment
-    degz = state.deg[Z]
-    degw = state.deg[W]
     fix_edge = state.fix_edge
-    undo_to = state.undo_to
-    trail = state.trail
+    num_edges = g.num_edges
+    # z is one path from vertex 1, and ends[1] is its head
+    if directed:
+        inc = g.out_inc
+        in_inc = g.in_inc
+        ends = state.fwd[Z]
+        odegz, odegw = state.odeg
+        idegz, idegw = state.ideg
+    else:
+        inc = g.inc
+        ends = state.pend[Z]
+        degz, degw = state.deg
 
-    # The first edge must land in one of the two cycles of any decomposition;
-    # naming that cycle z makes the choice branch-free. Lowest id at vertex 1.
-    clock.charge_node()
-    e0 = min(inc[1])
-    fix_edge(e0, Z)
-    head0 = heads[e0] if tails[e0] == 1 else tails[e0]
+    def to_w(edges):
+        for f in edges:
+            if assignment[f] == FREE:
+                r = fix_edge(f, W)
+                if r is not OK and r is not COMPLETES_COMPONENT:
+                    return r
+        return OK
 
-    def candidates(h):
+    def start():
+        # The first edge must land in one of the two cycles of any
+        # decomposition; naming that cycle z makes the choice branch-free.
+        # Lowest id at vertex 1.
+        e0 = min(inc[1])
+        return take(e0) if directed else fix_edge(e0, Z)
+
+    def expand():
         # Free edges at the path head, cheapest continuation first. Two free
         # parallel copies are interchangeable, so only the lower id is tried.
+        h = ends[1]
         cands = []
         for e in inc[h]:
             if assignment[e] == FREE:
                 k = heads[e] if tails[e] == h else tails[e]
-                cands.append((4 - degz[k] - degw[k], k, e))
+                if directed:
+                    free = 4 - odegz[k] - odegw[k] - idegz[k] - idegw[k]
+                else:
+                    free = 4 - degz[k] - degw[k]
+                cands.append((free, k, e))
         cands.sort()
         out = []
         last_k = 0
@@ -113,143 +83,19 @@ def _search_undirected(g, state, x_ms, y_ms, clock, stats):
                 last_k = k
         return out
 
-    def expand(h):
-        clock.charge_node()
-        return [h, candidates(h), 0, -1]
-
-    frames = [expand(head0)]
-    if len(frames) > stats.max_depth:
-        stats.max_depth = len(frames)
-    while frames:
-        frame = frames[-1]
-        if frame[3] >= 0:
-            undo_to(frame[3])
-            frame[3] = -1
-        cands = frame[1]
-        idx = frame[2]
-        if idx >= len(cands):
-            frames.pop()
-            continue
-        frame[2] = idx + 1
-        e = cands[idx]
-        mark = len(trail)
+    def take(e):
+        h = ends[1]
         r = fix_edge(e, Z)
+        if r is OK:
+            # h has no z-slot left: its free edges (directed: its free out-arcs
+            # and the free in-arcs of e's head) belong to w
+            r = to_w(inc[h])
+            if r is OK and directed:
+                r = to_w(in_inc[heads[e]])
+            return r
         if r is COMPLETES_COMPONENT:
-            if _flush_free_to_w(state, 2 * n) and state.is_complete() \
-                    and state.differs_from_inputs(x_ms, y_ms):
-                return state.extract_decomposition()
-            undo_to(mark)
-            continue
-        if r is not OK:
-            undo_to(mark)
-            continue
-        h = frame[0]
-        k = heads[e] if tails[e] == h else tails[e]
-        # h now carries two z-edges: its remaining free edges belong to w
-        ok = True
-        for f in inc[h]:
-            if assignment[f] == FREE:
-                rr = fix_edge(f, W)
-                if rr is not OK and rr is not COMPLETES_COMPONENT:
-                    ok = False
-                    break
-        if not ok:
-            undo_to(mark)
-            continue
-        frame[3] = mark
-        frames.append(expand(k))
-        if len(frames) > stats.max_depth:
-            stats.max_depth = len(frames)
-    return None
+            r = to_w(range(num_edges))
+            return COMPLETES_COMPONENT if r is OK else r
+        return r
 
-
-def _search_directed(g, state, x_ms, y_ms, clock, stats):
-    n = g.n
-    out_inc = g.out_inc
-    in_inc = g.in_inc
-    tails = g.tails
-    heads = g.heads
-    assignment = state.assignment
-    odegz, odegw = state.odeg[Z], state.odeg[W]
-    idegz, idegw = state.ideg[Z], state.ideg[W]
-    fix_edge = state.fix_edge
-    undo_to = state.undo_to
-    trail = state.trail
-
-    def transfer(u, v, e):
-        # z just consumed u's out-slot and v's in-slot; the sibling arcs
-        # cannot sit in z, so they move to w.
-        for f in out_inc[u]:
-            if f != e and assignment[f] == FREE:
-                r = state.fix_edge(f, W)
-                if r is not OK and r is not COMPLETES_COMPONENT:
-                    return False
-        for f in in_inc[v]:
-            if f != e and assignment[f] == FREE:
-                r = state.fix_edge(f, W)
-                if r is not OK and r is not COMPLETES_COMPONENT:
-                    return False
-        return True
-
-    clock.charge_node()
-    e0 = min(out_inc[1])
-    state.fix_edge(e0, Z)
-    if not transfer(1, heads[e0], e0):
-        return None
-    head0 = heads[e0]
-
-    def candidates(h):
-        cands = []
-        for e in out_inc[h]:
-            if assignment[e] == FREE:
-                k = heads[e]
-                free_k = (2 - odegz[k] - odegw[k]) + (2 - idegz[k] - idegw[k])
-                cands.append((free_k, k, e))
-        cands.sort()
-        out = []
-        last_k = 0
-        for _, k, e in cands:
-            if k != last_k:
-                out.append(e)
-                last_k = k
-        return out
-
-    def expand(h):
-        clock.charge_node()
-        return [h, candidates(h), 0, -1]
-
-    frames = [expand(head0)]
-    if len(frames) > stats.max_depth:
-        stats.max_depth = len(frames)
-    while frames:
-        frame = frames[-1]
-        if frame[3] >= 0:
-            undo_to(frame[3])
-            frame[3] = -1
-        cands = frame[1]
-        idx = frame[2]
-        if idx >= len(cands):
-            frames.pop()
-            continue
-        frame[2] = idx + 1
-        e = cands[idx]
-        mark = len(trail)
-        r = fix_edge(e, Z)
-        if r is COMPLETES_COMPONENT:
-            if _flush_free_to_w(state, 2 * n) and state.is_complete() \
-                    and state.differs_from_inputs(x_ms, y_ms):
-                return state.extract_decomposition()
-            undo_to(mark)
-            continue
-        if r is not OK:
-            undo_to(mark)
-            continue
-        k = heads[e]
-        if not transfer(tails[e], k, e):
-            undo_to(mark)
-            continue
-        frame[3] = mark
-        frames.append(expand(k))
-        if len(frames) > stats.max_depth:
-            stats.max_depth = len(frames)
-    return None
+    return start, expand, take, None

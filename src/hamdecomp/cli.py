@@ -18,7 +18,6 @@ from .bcef import solve_bcef
 from .bsp import solve_bsp
 from .errors import HamdecompError, ParseError
 from .instances import (
-    Instance,
     gen_instance,
     parse_certificate,
     parse_instance,
@@ -50,6 +49,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(convert):
+    """An argparse ``type`` for budgets: ``convert``, then reject negatives (and NaN)."""
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_seconds = _non_negative(float)
+_nodes = _non_negative(int)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hamdecomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", type=Path)
     p_solve.add_argument("--algo", choices=("bsp", "bcef"), default="bcef")
-    p_solve.add_argument("--time-limit", type=float, default=0.0, metavar="SECONDS")
-    p_solve.add_argument("--node-limit", type=int, default=0, metavar="NODES")
+    p_solve.add_argument("--time-limit", type=_seconds, default=0.0, metavar="SECONDS")
+    p_solve.add_argument("--node-limit", type=_nodes, default=0, metavar="NODES")
 
     p_gen = sub.add_parser("gen", help="generate seeded instance files")
     p_gen.add_argument("--n", type=int, required=True)
@@ -76,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated algorithms (bsp, bcef)")
     p_bench.add_argument("--count", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--time-limit", type=float, default=0.0, metavar="SECONDS")
-    p_bench.add_argument("--node-limit", type=int, default=0, metavar="NODES")
+    p_bench.add_argument("--time-limit", type=_seconds, default=0.0, metavar="SECONDS")
+    p_bench.add_argument("--node-limit", type=_nodes, default=0, metavar="NODES")
     p_bench.add_argument("--csv", type=Path, default=None, metavar="PATH")
     p_bench.add_argument("--jobs", type=int, default=1)
 
@@ -90,15 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_instance(path: Path) -> Instance:
+def _read_text(path: Path) -> str:
     try:
-        return parse_instance(path.read_text())
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise HamdecompError(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = parse_instance(_read_text(args.instance))
     g = build_union(inst.x, inst.y)
     limits = SolveLimits(time_budget=args.time_limit, node_budget=args.node_limit)
     result = _SOLVERS[args.algo](g, inst.x, inst.y, limits)
@@ -223,11 +237,8 @@ def _print_summary(rows):
 
 
 def _cmd_verify(args) -> int:
-    inst = _read_instance(args.instance)
-    try:
-        cert = parse_certificate(args.certificate.read_text())
-    except OSError as exc:
-        raise HamdecompError(f"cannot read {args.certificate}: {exc}") from None
+    inst = parse_instance(_read_text(args.instance))
+    cert = parse_certificate(_read_text(args.certificate))
     if cert.status is SolveStatus.DECOMPOSED:
         problems = decomposition_problems(inst, cert.z, cert.w)
         if problems:

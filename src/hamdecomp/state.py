@@ -6,6 +6,10 @@ of every maximal fixed path. Joining the two ends of the same path is the only
 way a fixed component can close a cycle, so cycle detection is O(1) per fix.
 Every successful fix pushes one trail entry carrying the overwritten endpoint
 map keys, which makes undo exact without any recomputation.
+
+Both solvers also share the search itself: ``solve`` sets up a run and
+``backtrack`` is the one depth-first driver, to which a solver supplies only
+its moves.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AlreadyFixedError, InvalidMarkError, NotCompleteError
-from .multigraph import EdgeMultiset, HamCycle, Mode, UnionMultigraph
+from .errors import AlreadyFixedError, InvalidMarkError, MismatchedInstancesError, NotCompleteError
+from .multigraph import EdgeMultiset, HamCycle, Mode, UnionMultigraph, cycle_edge_multiset
+from .result import SolveResult, SolveStats, SolveStatus
 
 FREE = -1
 Z = 0
@@ -34,8 +39,6 @@ OK = FixOutcome.OK
 CLOSES_NON_HAM_CYCLE = FixOutcome.CLOSES_NON_HAM_CYCLE
 CONFLICT = FixOutcome.CONFLICT
 COMPLETES_COMPONENT = FixOutcome.COMPLETES_COMPONENT
-
-FAILURES = (CLOSES_NON_HAM_CYCLE, CONFLICT)
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,125 @@ class BudgetClock:
         if self.deadline is not None and not (self.nodes & 1023):
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
+
+
+def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
+          moves) -> SolveResult:
+    """Decide whether the union of x and y has a second decomposition.
+
+    ``moves(state)`` returns one solver's ``(start, expand, take, refute)``
+    for a fresh state on g; ``backtrack`` describes them.
+    """
+    if x.n != y.n or x.mode is not y.mode:
+        raise MismatchedInstancesError(
+            f"cycles disagree: n={x.n}/{y.n}, mode={x.mode.value}/{y.mode.value}"
+        )
+    if g.n != x.n or g.mode is not x.mode:
+        raise MismatchedInstancesError(
+            f"graph does not match cycles: n={g.n}/{x.n}, mode={g.mode.value}/{x.mode.value}"
+        )
+    state = PartialState(g)
+    x_ms = cycle_edge_multiset(x)
+    y_ms = cycle_edge_multiset(y)
+    clock = BudgetClock(limits)
+    stats = SolveStats()
+    began = time.perf_counter()
+
+    def accepted():
+        return state.differs_from_inputs(x_ms, y_ms)
+
+    try:
+        witness = backtrack(state, clock, stats, accepted, *moves(state))
+        status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
+    except BudgetExceeded:
+        witness = None
+        status = SolveStatus.TIMED_OUT
+    stats.nodes = clock.nodes
+    stats.edges_fixed = state.edges_fixed
+    stats.elapsed_ms = int((time.perf_counter() - began) * 1000)
+    if witness:
+        return SolveResult(status, witness[0], witness[1], stats)
+    return SolveResult(status, stats=stats)
+
+
+def backtrack(state, clock, stats, accepted, start, expand, take, refute):
+    """Depth-first search over one solver's moves; the first accepted
+    decomposition, or None once the search space is exhausted.
+
+    The root costs one node, charged before ``start()`` makes the branch-free
+    root moves. Each further node is charged as it opens; ``expand()`` then
+    returns its ordered candidate edges, or None for a leaf. ``take(e)``
+    makes candidate e's move: OK opens a child node, COMPLETES_COMPONENT has
+    the state judged as it stands, and a failure rejects the move. Once a
+    move or its subtree fails, the state is undone to the mark taken before
+    the move and ``refute(e)``, if given, commits the alternative; the node
+    closes when that fails or completes a state that is not accepted.
+    Complete states are judged by ``accepted()``. Raises BudgetExceeded when
+    the clock runs out.
+    """
+    is_complete = state.is_complete
+    clock.charge_node()
+    r = start()
+    if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+        return None
+    if is_complete():
+        return state.extract_decomposition() if accepted() else None
+    charge_node = clock.charge_node
+    trail = state.trail
+    undo_to = state.undo_to
+    frames = []  # per open node: [candidates, index of the next one, mark before the last move]
+    while True:
+        charge_node()
+        cands = expand()
+        if cands is not None:
+            frames.append([cands, 0, 0])
+            if len(frames) > stats.max_depth:
+                stats.max_depth = len(frames)
+        elif is_complete() and accepted():
+            return state.extract_decomposition()
+        failed = cands is None
+        while frames:
+            frame = frames[-1]
+            cands, idx, mark = frame
+            if failed:
+                # the move at cands[idx - 1], or its subtree, failed
+                undo_to(mark)
+                if refute is not None:
+                    r = refute(cands[idx - 1])
+                    if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+                        frames.pop()
+                        continue
+                    if is_complete():
+                        if accepted():
+                            return state.extract_decomposition()
+                        frames.pop()
+                        continue
+                failed = False
+            n = len(cands)
+            while idx < n:
+                e = cands[idx]
+                idx += 1
+                mark = len(trail)
+                r = take(e)
+                if r is OK:
+                    break
+                if r is COMPLETES_COMPONENT and is_complete() and accepted():
+                    return state.extract_decomposition()
+                if refute is not None:
+                    failed = True  # refuted at the top of the loop
+                    break
+                undo_to(mark)
+            else:
+                # every candidate failed, so the node does
+                frames.pop()
+                failed = True
+                continue
+            frame[1] = idx
+            frame[2] = mark
+            if not failed:
+                break  # open the child node take(e) made
+        else:
+            return None
 
 
 class PartialState:

@@ -216,3 +216,39 @@ def test_usage_error_exits_64(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing instance path
     assert excinfo.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--time-limit", "-1"],
+    ["--node-limit", "-5"],
+    ["--time-limit", "nan"],
+])
+def test_solve_rejects_negative_budget(capsys, feasible6_file, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", str(feasible6_file), *argv])
+    assert excinfo.value.code == 64
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--time-limit", "-1"], ["--node-limit", "-5"]])
+def test_bench_rejects_negative_budget(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--n", "6", "--count", "1", *argv])
+    assert excinfo.value.code == 64
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_solve_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"p hd undirected 6\n\xff\n")
+    code, _, err = run(capsys, "solve", path)
+    assert code == 64
+    assert "cannot read" in err
+
+
+def test_verify_non_utf8_certificate(capsys, feasible6_file, tmp_path):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_bytes(b"s NONE\n\xff\n")
+    code, _, err = run(capsys, "verify", feasible6_file, cert_path)
+    assert code == 64
+    assert "cannot read" in err
