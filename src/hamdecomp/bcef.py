@@ -164,6 +164,13 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
     ascend by head vertex. Undirected: the vertex with the minimum nonzero
     free degree; candidates ascend by the neighbor's free degree. Ties break
     toward lower vertex and edge ids.
+
+    The undirected vertex is found without a Python loop over the vertices:
+    ``state.placed`` counts each vertex's fixed edges, and C-level list scans
+    look for the counts 3, 2, 1 and 0 in turn. The first count present is
+    the largest short of 4, that is the minimum nonzero free degree, and
+    ``index`` returns its lowest vertex, which keeps the tie-break. Slot 0
+    holds 4, so it is never chosen.
     """
     n = g.n
     assignment = state.assignment
@@ -185,16 +192,14 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
             (g.heads[e], e) for e in g.out_inc[best] if assignment[e] == FREE
         )
         return best, [e for _, e in cands]
-    degz, degw = state.deg[Z], state.deg[W]
-    best = 0
-    best_free = 5
-    for v in range(1, n + 1):
-        free = 4 - degz[v] - degw[v]
-        if 0 < free < best_free:
-            best = v
-            best_free = free
-    if not best:
+    placed = state.placed
+    for c in (3, 2, 1, 0):
+        if c in placed:
+            best = placed.index(c)
+            break
+    else:
         return None
+    degz, degw = state.deg[Z], state.deg[W]
     tails = g.tails
     heads = g.heads
     cands = []

@@ -49,7 +49,8 @@ class SolveLimits:
     node_budget: int = 0
 
     def __post_init__(self):
-        if self.time_budget < 0 or self.node_budget < 0:
+        # written so that NaN, which compares false, is rejected too
+        if not (self.time_budget >= 0 and self.node_budget >= 0):
             raise ValueError("budgets must be non-negative")
 
 
@@ -203,11 +204,14 @@ class PartialState:
       counts      -- fixed-edge totals per component
       trail       -- fix log; its length is the undo mark space
       edges_fixed -- monotone total of successful fixes (survives undo)
+      placed      -- undirected: edges fixed at each vertex, both components
+                     together; slot 0, no vertex, holds 4 so it reads as
+                     saturated (None when directed)
     """
 
     __slots__ = (
         "g", "n", "directed", "assignment", "counts", "trail", "invalid",
-        "edges_fixed", "deg", "pend", "odeg", "ideg", "fwd", "bwd", "fix_edge",
+        "edges_fixed", "deg", "pend", "placed", "odeg", "ideg", "fwd", "bwd", "fix_edge",
     )
 
     def __init__(self, g: UnionMultigraph):
@@ -227,10 +231,13 @@ class PartialState:
             self.bwd = (list(range(size)), list(range(size)))
             self.deg = None
             self.pend = None
+            self.placed = None
             self.fix_edge = self._fix_directed
         else:
             self.deg = ([0] * size, [0] * size)
             self.pend = (list(range(size)), list(range(size)))
+            self.placed = [0] * size
+            self.placed[0] = 4
             self.odeg = self.ideg = None
             self.fwd = self.bwd = None
             self.fix_edge = self._fix_undirected
@@ -263,6 +270,9 @@ class PartialState:
             self.assignment[e] = comp
             deg[u] += 1
             deg[v] += 1
+            placed = self.placed
+            placed[u] += 1
+            placed[v] += 1
             self.counts[comp] = cnt
             self.trail.append((e, comp, 0, 0))
             self.edges_fixed += 1
@@ -270,6 +280,9 @@ class PartialState:
         self.assignment[e] = comp
         deg[u] += 1
         deg[v] += 1
+        placed = self.placed
+        placed[u] += 1
+        placed[v] += 1
         self.counts[comp] += 1
         self.trail.append((e, comp, eu, ev))
         pend[eu] = ev
@@ -338,6 +351,7 @@ class PartialState:
                     self.fwd[comp][s] = u
                     self.bwd[comp][t] = v
         else:
+            placed = self.placed
             while len(trail) > mark:
                 e, comp, eu, ev = trail.pop()
                 u = tails[e]
@@ -346,6 +360,8 @@ class PartialState:
                 deg = self.deg[comp]
                 deg[u] -= 1
                 deg[v] -= 1
+                placed[u] -= 1
+                placed[v] -= 1
                 self.counts[comp] -= 1
                 if eu:
                     pend = self.pend[comp]
@@ -359,7 +375,7 @@ class PartialState:
         """Incident edges of v still free (directed: free out- plus in-arcs)."""
         if self.directed:
             return self.free_out_degree(v) + self.free_in_degree(v)
-        return 4 - self.deg[Z][v] - self.deg[W][v]
+        return 4 - self.placed[v]
 
     def free_out_degree(self, v: int) -> int:
         return 2 - self.odeg[Z][v] - self.odeg[W][v]
@@ -460,6 +476,11 @@ class PartialState:
                 assert deg == list(self.deg[comp]), "degree counters drifted"
                 assert max(deg) <= 2, "degree bound violated"
             self._check_structure(comp, pairs)
+        if not self.directed:
+            degz, degw = self.deg
+            assert self.placed == [4] + [degz[v] + degw[v] for v in range(1, n + 1)], (
+                "placed-edge counters drifted"
+            )
 
     def _check_structure(self, comp, pairs):
         # The fixed subgraph must be vertex-disjoint simple paths, or one
@@ -559,4 +580,5 @@ class PartialState:
         else:
             data["deg"] = tuple(tuple(a) for a in self.deg)
             data["pend"] = tuple(tuple(a) for a in self.pend)
+            data["placed"] = tuple(self.placed)
         return data

@@ -72,3 +72,21 @@ def test_validation_leaves_counters_alone(row):
     r = _solve(algo, mode, n, seed, budget, validate=True)
     assert r.status.value == status
     assert r.stats.deterministic_fields() == (nodes, edges_fixed, max_depth)
+
+
+# The undirected-search benchmark shape: bcef on undirected n=512 under a
+# 350-node budget, (seed, status, nodes, edges_fixed, max_depth). Every node
+# picks a branch vertex, so one changed choice moves these counters.
+UNDIRECTED_SEARCH_ROWS = [
+    (0, "TIMEOUT", 351, 4090, 258),
+    (1, "TIMEOUT", 351, 3203, 274),
+    (2, "TIMEOUT", 351, 2844, 247),
+]
+
+
+def test_undirected_search_shape_pinned():
+    got = []
+    for seed, *_ in UNDIRECTED_SEARCH_ROWS:
+        r = _solve("bcef", "undirected", 512, seed, 350)
+        got.append((seed, r.status.value, *r.stats.deterministic_fields()))
+    assert got == UNDIRECTED_SEARCH_ROWS

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hamdecomp import (
     Mode,
     NotCompleteError,
     PartialState,
+    SolveLimits,
     W,
     Z,
     build_union,
@@ -285,3 +288,17 @@ def _closed_cycle_length(g, pairs_before, e):
         length += 1
         if cur == u:
             return length
+
+
+@pytest.mark.parametrize("field", ["time_budget", "node_budget"])
+def test_limits_reject_nan_budgets(field):
+    # a NaN budget never trips, so it would silently run unbounded
+    with pytest.raises(ValueError):
+        SolveLimits(**{field: math.nan})
+
+
+def test_full_scan_catches_drifted_placed_counter(partial_state):
+    partial_state.check_invariants()
+    partial_state.placed[6] += 1
+    with pytest.raises(AssertionError, match="placed"):
+        partial_state.check_invariants()
