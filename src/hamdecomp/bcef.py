@@ -1,12 +1,13 @@
 """Backtracking solver based on chain edge fixing: moves for the shared driver.
 
-Every decision is followed by a forced-assignment cascade: in the directed
-case fixing an arc (i, j) into one component sends i's other out-arc and j's
-other in-arc to the opposite component; in the undirected case a vertex that
-reaches two fixed edges in one component sends its remaining free edges to the
-other. Cascades run breadth-first off a work queue, touch each edge at most
-once, and leave all performed fixes on the trail so the caller can undo to a
-mark after a failure.
+Every decision is followed by a forced-assignment cascade: a port (see
+``UnionMultigraph``) that a fix fills to capacity in one component sends its
+remaining free edges to the other. Undirected, that is a vertex reaching two
+fixed edges in one component; directed, fixing an arc (i, j) fills i's
+out-port and j's in-port, so i's other out-arc and j's other in-arc go to the
+opposite component. Cascades run breadth-first off a work queue, touch each
+edge at most once, and leave all performed fixes on the trail so the caller
+can undo to a mark after a failure.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -47,68 +48,43 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     if state.assignment[e] != FREE:
         raise AlreadyFixedError(f"edge {e} already fixed")
     assignment = state.assignment
+    ports = g.ports
+    tails = g.tails
+    heads = g.head_port
+    deg = state.deg
+    capacity = state.capacity
+    fix_edge = state.fix_edge
     queue = deque()
-    queue.append((e, comp))
+    push = queue.append
+    pop = queue.popleft
+    push((e, comp))
     completed = False
-    if g.mode is Mode.DIRECTED:
-        out_inc = g.out_inc
-        in_inc = g.in_inc
-        tails = g.tails
-        heads = g.heads
-        while queue:
-            f, c = queue.popleft()
-            a = assignment[f]
-            if a == c:
-                continue
-            if a != FREE:
-                state.invalid = True
-                return CONFLICT
-            r = state.fix_edge(f, c)
-            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                return r
-            if r is COMPLETES_COMPONENT:
-                completed = True
-            u = tails[f]
-            v = heads[f]
-            o = 1 - c
-            pair = out_inc[u]
-            sib = pair[1] if pair[0] == f else pair[0]
-            if assignment[sib] == FREE:
-                queue.append((sib, o))
-            pair = in_inc[v]
-            sib = pair[1] if pair[0] == f else pair[0]
-            if assignment[sib] == FREE:
-                queue.append((sib, o))
-    else:
-        inc = g.inc
-        tails = g.tails
-        heads = g.heads
-        deg = state.deg
-        while queue:
-            f, c = queue.popleft()
-            a = assignment[f]
-            if a == c:
-                continue
-            if a != FREE:
-                state.invalid = True
-                return CONFLICT
-            r = state.fix_edge(f, c)
-            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                return r
-            if r is COMPLETES_COMPONENT:
-                completed = True
-            degc = deg[c]
-            o = 1 - c
-            u = tails[f]
-            if degc[u] == 2:
-                for fe in inc[u]:
-                    if assignment[fe] == FREE:
-                        queue.append((fe, o))
-            v = heads[f]
-            if degc[v] == 2:
-                for fe in inc[v]:
-                    if assignment[fe] == FREE:
-                        queue.append((fe, o))
+    while queue:
+        f, c = pop()
+        a = assignment[f]
+        if a == c:
+            continue
+        if a != FREE:
+            state.invalid = True
+            return CONFLICT
+        r = fix_edge(f, c)
+        if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+            return r
+        if r is COMPLETES_COMPONENT:
+            completed = True
+        # a port that f filled to capacity in c sends its free edges to the other
+        degc = deg[c]
+        o = 1 - c
+        u = tails[f]
+        if degc[u] == capacity:
+            for fe in ports[u]:
+                if assignment[fe] == FREE:
+                    push((fe, o))
+        v = heads[f]
+        if degc[v] == capacity:
+            for fe in ports[v]:
+                if assignment[fe] == FREE:
+                    push((fe, o))
     return COMPLETES_COMPONENT if completed else OK
 
 
@@ -174,15 +150,17 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
     """
     n = g.n
     assignment = state.assignment
+    degz, degw = state.deg
     if g.mode is Mode.DIRECTED:
-        odegz, odegw = state.odeg[Z], state.odeg[W]
-        idegz, idegw = state.ideg[Z], state.ideg[W]
+        idegz = degz[n:]  # in-port counts: index v is port n + v
+        idegw = degw[n:]
         best = 0
         best_fixed = -1
         for v in range(1, n + 1):
-            if odegz[v] + odegw[v] == 2:
+            fixed = degz[v] + degw[v]  # at the out-port
+            if fixed == 2:
                 continue
-            fixed = odegz[v] + odegw[v] + idegz[v] + idegw[v]
+            fixed += idegz[v] + idegw[v]
             if fixed > best_fixed:
                 best = v
                 best_fixed = fixed
@@ -199,7 +177,6 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
             break
     else:
         return None
-    degz, degw = state.deg[Z], state.deg[W]
     tails = g.tails
     heads = g.heads
     cands = []
@@ -272,27 +249,11 @@ def _moves(state, validate):
 def check_propagation_closure(state: PartialState, g: UnionMultigraph):
     """Assert no forced assignment was left behind by a cascade."""
     assignment = state.assignment
-    if g.mode is Mode.DIRECTED:
-        for comp in (Z, W):
-            odeg = state.odeg[comp]
-            ideg = state.ideg[comp]
-            for v in range(1, g.n + 1):
-                if odeg[v]:
-                    for e in g.out_inc[v]:
-                        assert assignment[e] != FREE, (
-                            f"vertex {v}: fixed out-arc with free sibling"
-                        )
-                if ideg[v]:
-                    for e in g.in_inc[v]:
-                        assert assignment[e] != FREE, (
-                            f"vertex {v}: fixed in-arc with free sibling"
-                        )
-    else:
-        for comp in (Z, W):
-            deg = state.deg[comp]
-            for v in range(1, g.n + 1):
-                if deg[v] == 2:
-                    for e in g.inc[v]:
-                        assert assignment[e] != FREE, (
-                            f"vertex {v}: saturated in component {comp} with a free edge"
-                        )
+    for comp in (Z, W):
+        deg = state.deg[comp]
+        for p, edges in enumerate(g.ports):
+            if deg[p] == state.capacity:
+                for e in edges:
+                    assert assignment[e] != FREE, (
+                        f"port {p}: at capacity in component {comp} with a free edge"
+                    )

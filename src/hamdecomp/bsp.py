@@ -28,23 +28,19 @@ def solve_bsp(g: UnionMultigraph, x: HamCycle, y: HamCycle,
 
 def _moves(state):
     g = state.g
-    directed = state.directed
     tails = g.tails
     heads = g.heads
+    head_port = g.head_port
+    ports = g.ports
     assignment = state.assignment
     fix_edge = state.fix_edge
     num_edges = g.num_edges
-    # z is one path from vertex 1, and ends[1] is its head
-    if directed:
-        inc = g.out_inc
-        in_inc = g.in_inc
-        ends = state.fwd[Z]
-        odegz, odegw = state.odeg
-        idegz, idegw = state.ideg
-    else:
-        inc = g.inc
-        ends = state.pend[Z]
-        degz, degw = state.deg
+    capacity = state.capacity
+    degz, degw = state.deg
+    # z is one path from vertex 1, and ends[root] is its head: the path's
+    # open port at vertex 1 is vertex 1's in-port when directed
+    ends = state.pend[Z]
+    root = g.n + 1 if state.directed else 1
 
     def to_w(edges):
         for f in edges:
@@ -58,22 +54,24 @@ def _moves(state):
         # The first edge must land in one of the two cycles of any
         # decomposition; naming that cycle z makes the choice branch-free.
         # Lowest id at vertex 1.
-        e0 = min(inc[1])
-        return take(e0) if directed else fix_edge(e0, Z)
+        return take(min(ports[1]))
 
     def expand():
-        # Free edges at the path head, cheapest continuation first. Two free
-        # parallel copies are interchangeable, so only the lower id is tried.
-        h = ends[1]
+        # Free edges at the path head, cheapest continuation first: fewest
+        # free edges at the far end k, counted over k's out- and in-port
+        # (undirected: twice over its one port, which orders the same). Two
+        # free parallel copies are interchangeable, so only the lower id is
+        # tried.
+        h = ends[root]
         cands = []
-        for e in inc[h]:
+        for e in ports[h]:
             if assignment[e] == FREE:
-                k = heads[e] if tails[e] == h else tails[e]
-                if directed:
-                    free = 4 - odegz[k] - odegw[k] - idegz[k] - idegw[k]
+                if tails[e] == h:
+                    k = heads[e]
+                    kp = head_port[e]
                 else:
-                    free = 4 - degz[k] - degw[k]
-                cands.append((free, k, e))
+                    k = kp = tails[e]
+                cands.append((-degz[k] - degw[k] - degz[kp] - degw[kp], k, e))
         cands.sort()
         out = []
         last_k = 0
@@ -84,14 +82,16 @@ def _moves(state):
         return out
 
     def take(e):
-        h = ends[1]
         r = fix_edge(e, Z)
         if r is OK:
-            # h has no z-slot left: its free edges (directed: its free out-arcs
-            # and the free in-arcs of e's head) belong to w
-            r = to_w(inc[h])
-            if r is OK and directed:
-                r = to_w(in_inc[heads[e]])
+            # a port that e filled to capacity in z (the old path head; when
+            # directed also e's head) sends its free edges to w
+            u = tails[e]
+            if degz[u] == capacity:
+                r = to_w(ports[u])
+            v = head_port[e]
+            if r is OK and degz[v] == capacity:
+                r = to_w(ports[v])
             return r
         if r is COMPLETES_COMPONENT:
             r = to_w(range(num_edges))

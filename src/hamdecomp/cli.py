@@ -129,13 +129,16 @@ def _cmd_gen(args) -> int:
         raise HamdecompError(f"--n must be at least 3, got {args.n}")
     if args.count < 1:
         raise HamdecompError(f"--count must be at least 1, got {args.count}")
-    args.out.mkdir(parents=True, exist_ok=True)
     mode = Mode(args.mode)
-    for k in range(args.count):
-        seed = args.seed + k
-        inst = gen_instance(args.n, mode, seed)
-        path = args.out / f"inst_{mode.value}_{args.n}_{seed}.txt"
-        path.write_text(write_instance(inst))
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        for k in range(args.count):
+            seed = args.seed + k
+            inst = gen_instance(args.n, mode, seed)
+            path = args.out / f"inst_{mode.value}_{args.n}_{seed}.txt"
+            path.write_text(write_instance(inst))
+    except OSError as exc:
+        raise HamdecompError(f"cannot write to {args.out}: {exc}") from None
     print(f"wrote {args.count} instance(s) to {args.out}")
     return 0
 
@@ -189,7 +192,10 @@ def _cmd_bench(args) -> int:
         for k in range(args.count)
         for algo in algos
     ]
-    out = open(args.csv, "w", newline="") if args.csv else None
+    try:
+        out = open(args.csv, "w", newline="") if args.csv else None
+    except OSError as exc:
+        raise HamdecompError(f"cannot write {args.csv}: {exc}") from None
     writer = csv.DictWriter(out, fieldnames=CSV_HEADER) if out else None
     if writer:
         writer.writeheader()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InstanceSemanticError, InstanceSyntaxError, InvalidCycleError
 from .multigraph import HamCycle, Mode
-from .result import SolveStats, SolveStatus
+from .result import SolveResult, SolveStats, SolveStatus
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -161,20 +161,15 @@ class Certificate:
     edges_fixed: int
 
 
-def write_certificate(result) -> str:
-    """Render a SolveResult (or Certificate) in the certificate format."""
-    status = result.status
-    lines = [f"s {status.value}"]
-    if status is SolveStatus.DECOMPOSED:
-        z = getattr(result.z, "vertices", result.z)
-        w = getattr(result.w, "vertices", result.w)
-        lines.append("z " + " ".join(str(v) for v in z))
-        lines.append("w " + " ".join(str(v) for v in w))
-    stats = getattr(result, "stats", None)
-    if stats is not None:
-        lines.append(f"t {stats.elapsed_ms} {stats.nodes} {stats.edges_fixed}")
-    else:
-        lines.append(f"t {result.elapsed_ms} {result.nodes} {result.edges_fixed}")
+def write_certificate(result: Certificate | SolveResult) -> str:
+    """Render a Certificate, or a SolveResult through ``certificate_of``, in the
+    certificate format."""
+    cert = certificate_of(result) if isinstance(result, SolveResult) else result
+    lines = [f"s {cert.status.value}"]
+    if cert.status is SolveStatus.DECOMPOSED:
+        lines.append("z " + " ".join(str(v) for v in cert.z))
+        lines.append("w " + " ".join(str(v) for v in cert.w))
+    lines.append(f"t {cert.elapsed_ms} {cert.nodes} {cert.edges_fixed}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,8 +219,8 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(status, z, w, elapsed_ms, nodes, edges_fixed)
 
 
-def certificate_of(result) -> Certificate:
-    """The Certificate view of a SolveResult, for round-trip comparisons."""
+def certificate_of(result: SolveResult) -> Certificate:
+    """The Certificate view of a SolveResult."""
     z = result.z.vertices if result.z is not None else None
     w = result.w.vertices if result.w is not None else None
     stats: SolveStats = result.stats

@@ -70,9 +70,16 @@ class UnionMultigraph:
     Undirected edges are stored with (min, max) endpoint order; the edge id
     disambiguates parallel copies. Incidence lists are tuples and safe to
     share across concurrent solver runs.
+
+    Every edge end sits at a *port*. Undirected, port v is vertex v and holds
+    two edges of each component. Directed, a tail sits at out-port u and a
+    head at in-port n + v, one arc of each component per port. ``ports``
+    lists the edges at each port (index 0 is empty) and ``head_port`` the
+    port of each edge's head; edge e joins ports ``tails[e]`` and
+    ``head_port[e]``.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc")
+    __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc", "ports", "head_port")
 
     def __init__(self, n, mode, tails, heads):
         self.n = n
@@ -88,6 +95,8 @@ class UnionMultigraph:
             self.out_inc = tuple(tuple(lst) for lst in out_inc)
             self.in_inc = tuple(tuple(lst) for lst in in_inc)
             self.inc = None
+            self.ports = self.out_inc + self.in_inc[1:]
+            self.head_port = tuple([n + v for v in self.heads])
         else:
             inc = [[] for _ in range(n + 1)]
             for e in range(2 * n):
@@ -96,6 +105,8 @@ class UnionMultigraph:
             self.inc = tuple(tuple(lst) for lst in inc)
             self.out_inc = None
             self.in_inc = None
+            self.ports = self.inc
+            self.head_port = self.heads
 
     @property
     def num_edges(self) -> int:

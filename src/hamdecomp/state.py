@@ -1,7 +1,7 @@
 """Mutable search state shared by both solvers.
 
 Edges are assigned to one of two components (Z or W) one at a time. The state
-keeps per-vertex degree counters and, per component, a pairing of the two ends
+keeps per-port degree counters and, per component, a pairing of the two ends
 of every maximal fixed path. Joining the two ends of the same path is the only
 way a fixed component can close a cycle, so cycle detection is O(1) per fix.
 Every successful fix pushes one trail entry carrying the overwritten endpoint
@@ -199,11 +199,26 @@ def backtrack(state, clock, stats, accepted, start, expand, take, refute):
 class PartialState:
     """Edge assignments for one solver run; never shared between runs.
 
+    The counters are kept per port (see ``UnionMultigraph``): an undirected
+    vertex is one port with room for two edges of each component, a directed
+    vertex v an out-port v and an in-port n + v with room for one arc each.
+    Every fixed path of a component has one open port at each end, and
+    ``pend`` pairs them; a lone undirected vertex is its own pair, a lone
+    directed vertex the pair (v, n + v). Fixing an edge that joins the two
+    ends of one path closes a cycle.
+
     Public attributes read by the solvers:
       assignment  -- per-edge component, FREE when unassigned
       counts      -- fixed-edge totals per component
-      trail       -- fix log; its length is the undo mark space
+      trail       -- fix log of (edge, component, a, b): a and b are the far
+                     ends of the two paths the edge joined, the pend keys the
+                     fix overwrote ((0, 0) when it closed a cycle); its length
+                     is the undo mark space
       edges_fixed -- monotone total of successful fixes (survives undo)
+      capacity    -- edges of one component a port holds: 2, directed 1
+      deg         -- per component, fixed edges at each port
+      pend        -- per component, the open port at the other end of the
+                     path that ends at a port (kept only at path ends)
       placed      -- undirected: edges fixed at each vertex, both components
                      together; slot 0, no vertex, holds 4 so it reads as
                      saturated (None when directed)
@@ -211,49 +226,45 @@ class PartialState:
 
     __slots__ = (
         "g", "n", "directed", "assignment", "counts", "trail", "invalid",
-        "edges_fixed", "deg", "pend", "placed", "odeg", "ideg", "fwd", "bwd", "fix_edge",
+        "edges_fixed", "capacity", "deg", "pend", "placed", "fix_edge",
     )
 
     def __init__(self, g: UnionMultigraph):
         self.g = g
-        self.n = g.n
+        n = self.n = g.n
         self.directed = g.mode is Mode.DIRECTED
         self.assignment = [FREE] * g.num_edges
         self.counts = [0, 0]
         self.trail = []
         self.invalid = False
         self.edges_fixed = 0
-        size = g.n + 1
+        size = len(g.ports)
+        self.deg = ([0] * size, [0] * size)
         if self.directed:
-            self.odeg = ([0] * size, [0] * size)
-            self.ideg = ([0] * size, [0] * size)
-            self.fwd = (list(range(size)), list(range(size)))
-            self.bwd = (list(range(size)), list(range(size)))
-            self.deg = None
-            self.pend = None
+            ends = [0, *range(n + 1, size), *range(1, n + 1)]
+            self.capacity = 1
             self.placed = None
             self.fix_edge = self._fix_directed
         else:
-            self.deg = ([0] * size, [0] * size)
-            self.pend = (list(range(size)), list(range(size)))
-            self.placed = [0] * size
-            self.placed[0] = 4
-            self.odeg = self.ideg = None
-            self.fwd = self.bwd = None
+            ends = list(range(size))
+            self.capacity = 2
+            self.placed = [4] + [0] * n
             self.fix_edge = self._fix_undirected
+        self.pend = (ends, ends[:])
 
     # -- fixing ---------------------------------------------------------
     #
     # fix_edge(e, comp) -> FixOutcome assigns a free edge to a component.
     # Failing outcomes (CONFLICT, CLOSES_NON_HAM_CYCLE) leave the state
     # unchanged but flagged invalid until the caller undoes to a mark.
-    # Bound per mode at construction to keep the hot path dispatch-free.
+    # Bound per mode at construction to keep the hot path dispatch-free;
+    # the two differ only in the port capacity and the ``placed`` update.
 
     def _fix_undirected(self, e, comp):
         if self.assignment[e] != FREE:
             raise AlreadyFixedError(f"edge {e} already fixed")
         u = self.g.tails[e]
-        v = self.g.heads[e]
+        v = self.g.head_port[e]
         deg = self.deg[comp]
         if deg[u] == 2 or deg[v] == 2:
             self.invalid = True
@@ -294,35 +305,34 @@ class PartialState:
         if self.assignment[e] != FREE:
             raise AlreadyFixedError(f"edge {e} already fixed")
         u = self.g.tails[e]
-        v = self.g.heads[e]
-        odeg = self.odeg[comp]
-        ideg = self.ideg[comp]
-        if odeg[u] or ideg[v]:
+        v = self.g.head_port[e]
+        deg = self.deg[comp]
+        if deg[u] or deg[v]:
             self.invalid = True
             return CONFLICT
-        fwd = self.fwd[comp]
-        bwd = self.bwd[comp]
-        t = fwd[v]  # head end of the path starting at v
-        s = bwd[u]  # tail end of the path ending at u
-        if t == u:
+        pend = self.pend[comp]
+        eu = pend[u]
+        ev = pend[v]
+        if eu == v:
+            # u and v are the two ends of one fixed path: this arc closes a cycle
             cnt = self.counts[comp] + 1
             if cnt < self.n:
                 self.invalid = True
                 return CLOSES_NON_HAM_CYCLE
             self.assignment[e] = comp
-            odeg[u] = 1
-            ideg[v] = 1
+            deg[u] = 1
+            deg[v] = 1
             self.counts[comp] = cnt
             self.trail.append((e, comp, 0, 0))
             self.edges_fixed += 1
             return COMPLETES_COMPONENT
         self.assignment[e] = comp
-        odeg[u] = 1
-        ideg[v] = 1
+        deg[u] = 1
+        deg[v] = 1
         self.counts[comp] += 1
-        self.trail.append((e, comp, s, t))
-        fwd[s] = t
-        bwd[t] = s
+        self.trail.append((e, comp, eu, ev))
+        pend[eu] = ev
+        pend[ev] = eu
         self.edges_fixed += 1
         return OK
 
@@ -337,36 +347,28 @@ class PartialState:
         if mark < 0 or mark > len(trail):
             raise InvalidMarkError(f"mark {mark} outside trail of length {len(trail)}")
         tails = self.g.tails
-        heads = self.g.heads
-        if self.directed:
-            while len(trail) > mark:
-                e, comp, s, t = trail.pop()
-                u = tails[e]
-                v = heads[e]
-                self.assignment[e] = FREE
-                self.odeg[comp][u] = 0
-                self.ideg[comp][v] = 0
-                self.counts[comp] -= 1
-                if s:
-                    self.fwd[comp][s] = u
-                    self.bwd[comp][t] = v
-        else:
-            placed = self.placed
-            while len(trail) > mark:
-                e, comp, eu, ev = trail.pop()
-                u = tails[e]
-                v = heads[e]
-                self.assignment[e] = FREE
-                deg = self.deg[comp]
-                deg[u] -= 1
-                deg[v] -= 1
+        heads = self.g.head_port
+        assignment = self.assignment
+        counts = self.counts
+        degs = self.deg
+        pends = self.pend
+        placed = self.placed
+        while len(trail) > mark:
+            e, comp, eu, ev = trail.pop()
+            u = tails[e]
+            v = heads[e]
+            assignment[e] = FREE
+            deg = degs[comp]
+            deg[u] -= 1
+            deg[v] -= 1
+            if placed is not None:
                 placed[u] -= 1
                 placed[v] -= 1
-                self.counts[comp] -= 1
-                if eu:
-                    pend = self.pend[comp]
-                    pend[eu] = u
-                    pend[ev] = v
+            counts[comp] -= 1
+            if eu:
+                pend = pends[comp]
+                pend[eu] = u
+                pend[ev] = v
         self.invalid = False
 
     # -- queries --------------------------------------------------------
@@ -378,10 +380,12 @@ class PartialState:
         return 4 - self.placed[v]
 
     def free_out_degree(self, v: int) -> int:
-        return 2 - self.odeg[Z][v] - self.odeg[W][v]
+        """Directed: free arcs at v's out-port."""
+        return 2 - self.deg[Z][v] - self.deg[W][v]
 
     def free_in_degree(self, v: int) -> int:
-        return 2 - self.ideg[Z][v] - self.ideg[W][v]
+        """Directed: free arcs at v's in-port."""
+        return 2 - self.deg[Z][self.n + v] - self.deg[W][self.n + v]
 
     def is_complete(self) -> bool:
         """Both components hold n edges; with the degree and cycle guards that
@@ -396,7 +400,6 @@ class PartialState:
             for e in range(self.g.num_edges)
             if self.assignment[e] == comp
         ]
-
     def extract_decomposition(self) -> tuple[HamCycle, HamCycle]:
         """The two completed cycles as canonical vertex sequences from vertex 1.
 
@@ -457,26 +460,16 @@ class PartialState:
         g = self.g
         assert len(self.trail) == self.counts[Z] + self.counts[W], "trail length mismatch"
         for comp in (Z, W):
-            pairs = self.component_pairs(comp)
-            assert len(pairs) == self.counts[comp], "count mismatch"
-            if self.directed:
-                odeg = [0] * (n + 1)
-                ideg = [0] * (n + 1)
-                for u, v in pairs:
-                    odeg[u] += 1
-                    ideg[v] += 1
-                assert odeg == list(self.odeg[comp]), "out-degree counters drifted"
-                assert ideg == list(self.ideg[comp]), "in-degree counters drifted"
-                assert max(odeg) <= 1 and max(ideg) <= 1, "degree bound violated"
-            else:
-                deg = [0] * (n + 1)
-                for u, v in pairs:
-                    deg[u] += 1
-                    deg[v] += 1
-                assert deg == list(self.deg[comp]), "degree counters drifted"
-                assert max(deg) <= 2, "degree bound violated"
-            self._check_structure(comp, pairs)
-        if not self.directed:
+            edges = [e for e in range(g.num_edges) if self.assignment[e] == comp]
+            assert len(edges) == self.counts[comp], "count mismatch"
+            deg = [0] * len(g.ports)
+            for e in edges:
+                deg[g.tails[e]] += 1
+                deg[g.head_port[e]] += 1
+            assert deg == self.deg[comp], "degree counters drifted"
+            assert max(deg) <= self.capacity, "degree bound violated"
+            self._check_structure(comp, [(g.tails[e], g.heads[e]) for e in edges])
+        if self.placed is not None:
             degz, degw = self.deg
             assert self.placed == [4] + [degz[v] + degw[v] for v in range(1, n + 1)], (
                 "placed-edge counters drifted"
@@ -484,20 +477,21 @@ class PartialState:
 
     def _check_structure(self, comp, pairs):
         # The fixed subgraph must be vertex-disjoint simple paths, or one
-        # Hamiltonian cycle on all n vertices; endpoint maps must agree.
+        # Hamiltonian cycle on all n vertices. The degree bound makes every
+        # directed path consistently oriented, so paths are walked as
+        # undirected; the open ports at a path's two ends must be paired in
+        # pend.
         n = self.n
-        if self.directed:
-            self._check_structure_directed(comp, pairs)
-            return
         deg = self.deg[comp]
         pend = self.pend[comp]
+        in_port = n if self.directed else 0  # vertex v's in-port is v + in_port
         adj = [[] for _ in range(n + 1)]
         for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
         seen = [False] * (n + 1)
         for s in range(1, n + 1):
-            if deg[s] != 1 or seen[s]:
+            if len(adj[s]) > 1 or seen[s]:
                 continue
             prev, cur = 0, s
             while True:
@@ -507,9 +501,12 @@ class PartialState:
                 if not options:
                     break
                 prev, cur = cur, options[0]
-            assert pend[s] == cur and pend[cur] == s, "endpoint map stale at a path end"
+            ends = sorted({p for x in (s, cur) for p in (x, x + in_port)
+                           if deg[p] < self.capacity})
+            a, b = ends[0], ends[-1]
+            assert pend[a] == b and pend[b] == a, "endpoint map stale at a path end"
         for s in range(1, n + 1):
-            if deg[s] != 2 or seen[s]:
+            if seen[s]:
                 continue
             length = 0
             prev, cur = 0, s
@@ -521,64 +518,17 @@ class PartialState:
                 if cur == s:
                     break
             assert length == n and len(pairs) == n, f"component {comp} holds a short cycle"
-        for v in range(1, n + 1):
-            if deg[v] == 0:
-                assert pend[v] == v, "trivial path endpoint drifted"
-
-    def _check_structure_directed(self, comp, pairs):
-        n = self.n
-        odeg = self.odeg[comp]
-        ideg = self.ideg[comp]
-        nxt = [0] * (n + 1)
-        for u, v in pairs:
-            nxt[u] = v
-        seen = [False] * (n + 1)
-        for s in range(1, n + 1):
-            if not (odeg[s] == 1 and ideg[s] == 0):
-                continue
-            # s starts a maximal path
-            cur = s
-            while True:
-                assert not seen[cur], f"component {comp} path revisits vertex {cur}"
-                seen[cur] = True
-                if not odeg[cur]:
-                    break
-                cur = nxt[cur]
-            assert self.fwd[comp][s] == cur, "forward endpoint map stale"
-            assert self.bwd[comp][cur] == s, "backward endpoint map stale"
-        for s in range(1, n + 1):
-            if not odeg[s] or seen[s]:
-                continue
-            length = 0
-            cur = s
-            while True:
-                seen[cur] = True
-                length += 1
-                cur = nxt[cur]
-                if cur == s:
-                    break
-            assert length == n and len(pairs) == n, f"component {comp} holds a short cycle"
-        for v in range(1, n + 1):
-            if not odeg[v] and not ideg[v]:
-                assert self.fwd[comp][v] == v and self.bwd[comp][v] == v, (
-                    "isolated-vertex endpoint entries drifted"
-                )
 
     def snapshot(self):
         """Deep copy of all mutable search fields, for replay comparisons."""
-        data = {
-            "assignment": tuple(self.assignment),
-            "counts": tuple(self.counts),
-            "trail": tuple(self.trail),
-            "invalid": self.invalid,
+        return {
+            name: _frozen(getattr(self, name))
+            for name in ("assignment", "counts", "trail", "invalid", "deg", "pend", "placed")
         }
-        if self.directed:
-            data["odeg"] = tuple(tuple(a) for a in self.odeg)
-            data["ideg"] = tuple(tuple(a) for a in self.ideg)
-            data["fwd"] = tuple(tuple(a) for a in self.fwd)
-            data["bwd"] = tuple(tuple(a) for a in self.bwd)
-        else:
-            data["deg"] = tuple(tuple(a) for a in self.deg)
-            data["pend"] = tuple(tuple(a) for a in self.pend)
-            data["placed"] = tuple(self.placed)
-        return data
+
+
+def _frozen(value):
+    """A list, or nested lists and tuples of them, as nested tuples."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value

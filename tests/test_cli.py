@@ -252,3 +252,27 @@ def test_verify_non_utf8_certificate(capsys, feasible6_file, tmp_path):
     code, _, err = run(capsys, "verify", feasible6_file, cert_path)
     assert code == 64
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+def test_gen_out_blocked_by_a_file(capsys, tmp_path, out):
+    (tmp_path / "a_file").write_text("taken\n")
+    code, _, err = run(capsys, "gen", "--n", "6", "--mode", "undirected",
+                       "--out", tmp_path / out)
+    assert code == 64
+    assert "cannot write" in err
+
+
+def test_gen_instance_path_taken_by_a_directory(capsys, tmp_path):
+    (tmp_path / "inst_undirected_6_0.txt").mkdir()
+    code, _, err = run(capsys, "gen", "--n", "6", "--mode", "undirected",
+                       "--out", tmp_path)
+    assert code == 64
+    assert "cannot write" in err
+
+
+def test_bench_csv_in_missing_directory(capsys, tmp_path):
+    code, _, err = run(capsys, "bench", "--n", "6", "--count", "1",
+                       "--csv", tmp_path / "missing" / "out.csv")
+    assert code == 64
+    assert "cannot write" in err

@@ -90,3 +90,22 @@ def test_undirected_search_shape_pinned():
         r = _solve("bcef", "undirected", 512, seed, 350)
         got.append((seed, r.status.value, *r.stats.deterministic_fields()))
     assert got == UNDIRECTED_SEARCH_ROWS
+
+
+# The directed-cascade benchmark shape: bcef on directed n=2048 under a
+# 1000-node budget, (seed, status, nodes, edges_fixed, max_depth). Each node
+# cascades hundreds of arcs, so these pin the chain-fixing cascade on inputs
+# far larger than the rows above.
+DIRECTED_CASCADE_ROWS = [
+    (0, "NONE", 4, 5348, 3),
+    (1, "DECOMPOSED", 34, 12008, 12),
+    (2, "NONE", 12, 4308, 5),
+]
+
+
+def test_directed_cascade_shape_pinned():
+    got = []
+    for seed, *_ in DIRECTED_CASCADE_ROWS:
+        r = _solve("bcef", "directed", 2048, seed, 1000)
+        got.append((seed, r.status.value, *r.stats.deterministic_fields()))
+    assert got == DIRECTED_CASCADE_ROWS

@@ -302,3 +302,29 @@ def test_full_scan_catches_drifted_placed_counter(partial_state):
     partial_state.placed[6] += 1
     with pytest.raises(AssertionError, match="placed"):
         partial_state.check_invariants()
+
+
+@pytest.fixture
+def directed_partial_state(rigid6_union):
+    """z holds the path 1->2->3, w the arc 1->4. Ports: out-port v, in-port 6 + v."""
+    g = rigid6_union
+    state = PartialState(g)
+    for u, v in ((1, 2), (2, 3)):
+        assert state.fix_edge(edge_id(g, u, v), Z) is OK
+    assert state.fix_edge(edge_id(g, 1, 4), W) is OK
+    # z's path is open at vertex 1's in-port and at vertex 3's out-port
+    assert state.pend[Z][7] == 3 and state.pend[Z][3] == 7
+    state.check_invariants()
+    return state
+
+
+def test_full_scan_catches_drifted_directed_endpoint(directed_partial_state):
+    directed_partial_state.pend[Z][7] = 2
+    with pytest.raises(AssertionError, match="endpoint"):
+        directed_partial_state.check_invariants()
+
+
+def test_full_scan_catches_drifted_directed_in_port_degree(directed_partial_state):
+    directed_partial_state.deg[Z][6 + 3] = 0  # the in-port that 2->3 fills
+    with pytest.raises(AssertionError, match="degree counters"):
+        directed_partial_state.check_invariants()
