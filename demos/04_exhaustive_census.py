@@ -4,6 +4,12 @@
 The exhaustive oracle assigns each edge to one of the two components with
 degree and cycle pruning only; it is the ground truth the solvers are tested
 against. Capped at n <= 14.
+
+The edges are assigned in a fixed vertex-completion order: start at edge 0's
+tail, then repeatedly move to the vertex with the most edges already listed
+and list the rest of its edges. A vertex's edges then all sit a few levels
+apart, so a vertex given too many edges of one component is cut off near the
+top of the search rather than after the whole first cycle has been assigned.
 """
 
 from hamdecomp import (

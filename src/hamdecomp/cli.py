@@ -11,7 +11,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bcef import solve_bcef
@@ -184,6 +183,8 @@ def _cmd_bench(args) -> int:
         raise HamdecompError("sizes must be at least 3")
     if args.count < 1:
         raise HamdecompError(f"--count must be at least 1, got {args.count}")
+    if args.jobs < 1:
+        raise HamdecompError(f"--jobs must be at least 1, got {args.jobs}")
 
     tasks = [
         (mode, n, args.seed + k, algo, args.time_limit, args.node_limit)
@@ -203,6 +204,9 @@ def _cmd_bench(args) -> int:
     rows = []
     try:
         if args.jobs > 1:
+            # imported here: it loads multiprocessing, which every importer would pay for
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for row in pool.map(_bench_row, tasks):
                     rows.append(row)

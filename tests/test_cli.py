@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +279,21 @@ def test_bench_csv_in_missing_directory(capsys, tmp_path):
                        "--csv", tmp_path / "missing" / "out.csv")
     assert code == 64
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    csv_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, "bench", "--n", "6", "--count", "1",
+                       "--jobs", jobs, "--csv", csv_path)
+    assert code == 64
+    assert "--jobs" in err
+    assert not csv_path.exists()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only ``bench --jobs N`` with N > 1 needs the process pool
+    code = ("import sys, hamdecomp.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
