@@ -80,26 +80,32 @@ def enumerate_decompositions(g: UnionMultigraph) -> DecompositionSet:
     if g.n > MAX_ORACLE_N:
         raise TooLargeError(f"exhaustive enumeration capped at n={MAX_ORACLE_N}, got n={g.n}")
     state = PartialState(g)
-    m = g.num_edges
     order = _vertex_completion_order(g)  # starts with edge 0
     found = set()
-    state.fix_edge(0, Z)
-
-    def rec(i):
-        if i == m:
-            if state.is_complete():
-                found.add(_canonical_pair(state.component_pairs(Z), state.component_pairs(W)))
-            return
-        e = order[i]
-        mark = len(state.trail)
-        for comp in (Z, W):
-            r = state.fix_edge(e, comp)
-            if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-                rec(i + 1)
-            state.undo_to(mark)
-
-    rec(1)
+    fix_edge = state.fix_edge
+    fix_edge(0, Z)
+    _assign(state, fix_edge, order, 1, found)
     return DecompositionSet(tuple(sorted(found)), len(found))
+
+
+def _assign(state, fix_edge, order, i, found):
+    """Both components for edge order[i], then the rest; complete states into found.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself is a reference cycle, which would keep every call's state
+    alive until the cyclic garbage collector ran.
+    """
+    if i == len(order):
+        if state.is_complete():
+            found.add(_canonical_pair(state.component_pairs(Z), state.component_pairs(W)))
+        return
+    e = order[i]
+    mark = len(state.trail)
+    for comp in (Z, W):
+        r = fix_edge(e, comp)
+        if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
+            _assign(state, fix_edge, order, i + 1, found)
+        state.undo_to(mark)
 
 
 def second_decomposition_exists(g: UnionMultigraph, x: HamCycle, y: HamCycle) -> bool:

@@ -226,7 +226,7 @@ class PartialState:
 
     __slots__ = (
         "g", "n", "directed", "assignment", "counts", "trail", "invalid",
-        "edges_fixed", "capacity", "deg", "pend", "placed", "fix_edge",
+        "edges_fixed", "capacity", "deg", "pend", "placed",
     )
 
     def __init__(self, g: UnionMultigraph):
@@ -244,12 +244,10 @@ class PartialState:
             ends = [0, *range(n + 1, size), *range(1, n + 1)]
             self.capacity = 1
             self.placed = None
-            self.fix_edge = self._fix_directed
         else:
             ends = list(range(size))
             self.capacity = 2
             self.placed = [4] + [0] * n
-            self.fix_edge = self._fix_undirected
         self.pend = (ends, ends[:])
 
     # -- fixing ---------------------------------------------------------
@@ -257,8 +255,15 @@ class PartialState:
     # fix_edge(e, comp) -> FixOutcome assigns a free edge to a component.
     # Failing outcomes (CONFLICT, CLOSES_NON_HAM_CYCLE) leave the state
     # unchanged but flagged invalid until the caller undoes to a mark.
-    # Bound per mode at construction to keep the hot path dispatch-free;
-    # the two differ only in the port capacity and the ``placed`` update.
+    # Hot loops read ``state.fix_edge`` once and call the mode's method
+    # directly; the two differ only in the port capacity and the ``placed``
+    # update. It is looked up rather than stored on the state: a bound method
+    # kept in a slot is a reference cycle, so every finished state would wait
+    # for the cyclic garbage collector instead of being freed on return.
+
+    @property
+    def fix_edge(self):
+        return self._fix_directed if self.directed else self._fix_undirected
 
     def _fix_undirected(self, e, comp):
         if self.assignment[e] != FREE:

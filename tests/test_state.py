@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -16,6 +17,10 @@ from hamdecomp import (
     Z,
     build_union,
     cycle_edge_multiset,
+    enumerate_decompositions,
+    gen_instance,
+    solve_bcef,
+    solve_bsp,
 )
 from hamdecomp.state import (
     CLOSES_NON_HAM_CYCLE,
@@ -328,3 +333,34 @@ def test_full_scan_catches_drifted_directed_in_port_degree(directed_partial_stat
     directed_partial_state.deg[Z][6 + 3] = 0  # the in-port that 2->3 fills
     with pytest.raises(AssertionError, match="degree counters"):
         directed_partial_state.check_invariants()
+
+
+def _unreachable_after(call):
+    """Objects that only the cyclic garbage collector could free after call()."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
+def test_searches_leave_no_reference_cycles(mode):
+    """A finished state, solve or enumeration is freed by reference counting,
+    so no collector pause lands inside a later call."""
+    inst = gen_instance(9, mode, 3)
+    g = build_union(inst.x, inst.y)
+    limits = SolveLimits(time_budget=60.0, node_budget=100_000)
+
+    def fix_one():
+        state = PartialState(g)
+        assert state.fix_edge(0, Z) is OK
+
+    assert _unreachable_after(fix_one) == 0
+    assert _unreachable_after(lambda: enumerate_decompositions(g)) == 0
+    assert _unreachable_after(lambda: solve_bsp(g, inst.x, inst.y, limits)) == 0
+    assert _unreachable_after(lambda: solve_bcef(g, inst.x, inst.y, limits)) == 0
