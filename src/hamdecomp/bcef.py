@@ -142,11 +142,11 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
     toward lower vertex and edge ids.
 
     The undirected vertex is found without a Python loop over the vertices:
-    ``state.placed`` counts each vertex's fixed edges, and C-level list scans
-    look for the counts 3, 2, 1 and 0 in turn. The first count present is
-    the largest short of 4, that is the minimum nonzero free degree, and
-    ``index`` returns its lowest vertex, which keeps the tie-break. Slot 0
-    holds 4, so it is never chosen.
+    ``state.placed`` holds one byte per vertex counting its fixed edges, and
+    ``bytearray.find``, a C memchr, looks for the counts 3, 2, 1 and 0 in
+    turn. The first count present is the largest short of 4, that is the
+    minimum nonzero free degree, and ``find`` returns its lowest vertex,
+    which keeps the tie-break. Slot 0 holds 4, so it is never chosen.
     """
     n = g.n
     assignment = state.assignment
@@ -170,10 +170,10 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
             (g.heads[e], e) for e in g.out_inc[best] if assignment[e] == FREE
         )
         return best, [e for _, e in cands]
-    placed = state.placed
+    find = state.placed.find
     for c in (3, 2, 1, 0):
-        if c in placed:
-            best = placed.index(c)
+        best = find(c)
+        if best > 0:
             break
     else:
         return None

@@ -219,14 +219,18 @@ class PartialState:
       deg         -- per component, fixed edges at each port
       pend        -- per component, the open port at the other end of the
                      path that ends at a port (kept only at path ends)
-      placed      -- undirected: edges fixed at each vertex, both components
-                     together; slot 0, no vertex, holds 4 so it reads as
-                     saturated (None when directed)
+      placed      -- undirected: a bytearray of the edges fixed at each
+                     vertex, both components together; slot 0, no vertex,
+                     holds 4 so it reads as saturated (None when directed).
+                     It is a view synced from the trail when read, not kept
+                     by ``fix_edge`` and ``undo_to``: a read costs the trail
+                     entries pushed or popped since the last one, and fixes
+                     made and undone between two reads are never counted.
     """
 
     __slots__ = (
         "g", "n", "directed", "assignment", "counts", "trail", "invalid",
-        "edges_fixed", "capacity", "deg", "pend", "placed",
+        "edges_fixed", "capacity", "deg", "pend", "_placed",
     )
 
     def __init__(self, g: UnionMultigraph):
@@ -243,12 +247,39 @@ class PartialState:
         if self.directed:
             ends = [0, *range(n + 1, size), *range(1, n + 1)]
             self.capacity = 1
-            self.placed = None
+            self._placed = None
         else:
             ends = list(range(size))
             self.capacity = 2
-            self.placed = [4] + [0] * n
+            # the counts, and the trail entries they count
+            self._placed = (bytearray([4]) + bytearray(n), [])
         self.pend = (ends, ends[:])
+
+    @property
+    def placed(self):
+        view = self._placed
+        if view is None:
+            return None
+        placed, counted = view
+        trail = self.trail
+        # Entries are only pushed and popped at the end of the trail, and each
+        # fix pushes a new tuple, so the counted entries still on the trail
+        # are the prefix up to the last position where both hold one object.
+        k = min(len(counted), len(trail))
+        while k and counted[k - 1] is not trail[k - 1]:
+            k -= 1
+        if k != len(counted) or k != len(trail):
+            tails = self.g.tails
+            heads = self.g.head_port
+            for e, _, _, _ in counted[k:]:
+                placed[tails[e]] -= 1
+                placed[heads[e]] -= 1
+            pushed = trail[k:]
+            for e, _, _, _ in pushed:
+                placed[tails[e]] += 1
+                placed[heads[e]] += 1
+            counted[k:] = pushed
+        return placed
 
     # -- fixing ---------------------------------------------------------
     #
@@ -256,10 +287,10 @@ class PartialState:
     # Failing outcomes (CONFLICT, CLOSES_NON_HAM_CYCLE) leave the state
     # unchanged but flagged invalid until the caller undoes to a mark.
     # Hot loops read ``state.fix_edge`` once and call the mode's method
-    # directly; the two differ only in the port capacity and the ``placed``
-    # update. It is looked up rather than stored on the state: a bound method
-    # kept in a slot is a reference cycle, so every finished state would wait
-    # for the cyclic garbage collector instead of being freed on return.
+    # directly; the two differ only in the port capacity. It is looked up
+    # rather than stored on the state: a bound method kept in a slot is a
+    # reference cycle, so every finished state would wait for the cyclic
+    # garbage collector instead of being freed on return.
 
     @property
     def fix_edge(self):
@@ -286,9 +317,6 @@ class PartialState:
             self.assignment[e] = comp
             deg[u] += 1
             deg[v] += 1
-            placed = self.placed
-            placed[u] += 1
-            placed[v] += 1
             self.counts[comp] = cnt
             self.trail.append((e, comp, 0, 0))
             self.edges_fixed += 1
@@ -296,9 +324,6 @@ class PartialState:
         self.assignment[e] = comp
         deg[u] += 1
         deg[v] += 1
-        placed = self.placed
-        placed[u] += 1
-        placed[v] += 1
         self.counts[comp] += 1
         self.trail.append((e, comp, eu, ev))
         pend[eu] = ev
@@ -357,7 +382,6 @@ class PartialState:
         counts = self.counts
         degs = self.deg
         pends = self.pend
-        placed = self.placed
         while len(trail) > mark:
             e, comp, eu, ev = trail.pop()
             u = tails[e]
@@ -366,9 +390,6 @@ class PartialState:
             deg = degs[comp]
             deg[u] -= 1
             deg[v] -= 1
-            if placed is not None:
-                placed[u] -= 1
-                placed[v] -= 1
             counts[comp] -= 1
             if eu:
                 pend = pends[comp]
@@ -474,9 +495,10 @@ class PartialState:
             assert deg == self.deg[comp], "degree counters drifted"
             assert max(deg) <= self.capacity, "degree bound violated"
             self._check_structure(comp, [(g.tails[e], g.heads[e]) for e in edges])
-        if self.placed is not None:
+        placed = self.placed
+        if placed is not None:
             degz, degw = self.deg
-            assert self.placed == [4] + [degz[v] + degw[v] for v in range(1, n + 1)], (
+            assert list(placed) == [4] + [degz[v] + degw[v] for v in range(1, n + 1)], (
                 "placed-edge counters drifted"
             )
 
@@ -533,7 +555,10 @@ class PartialState:
 
 
 def _frozen(value):
-    """A list, or nested lists and tuples of them, as nested tuples."""
+    """A list, or nested lists and tuples of them, as nested tuples; a
+    bytearray as bytes."""
     if isinstance(value, (list, tuple)):
         return tuple(_frozen(v) for v in value)
+    if isinstance(value, bytearray):
+        return bytes(value)
     return value

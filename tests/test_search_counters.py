@@ -109,3 +109,27 @@ def test_directed_cascade_shape_pinned():
         r = _solve("bcef", "directed", 2048, seed, 1000)
         got.append((seed, r.status.value, *r.stats.deterministic_fields()))
     assert got == DIRECTED_CASCADE_ROWS
+
+
+# bcef on undirected n=1024 to 8192: (n, seed, node_budget, status, nodes,
+# edges_fixed, max_depth).
+LARGE_UNDIRECTED_ROWS = [
+    (1024, 0, 0, "DECOMPOSED", 8060, 250543, 525),
+    (2048, 0, 0, "DECOMPOSED", 1039, 5025, 1012),
+    (2048, 1, 0, "DECOMPOSED", 3263, 129149, 1032),
+    (4096, 0, 2000, "TIMEOUT", 2001, 7483, 1999),
+    (8192, 0, 1000, "TIMEOUT", 1001, 2383, 999),
+]
+
+
+def test_large_undirected_trajectories_pinned():
+    """The rows were measured while ``fix_edge`` and ``undo_to`` still kept
+    a ``placed`` list count by count, before it became a view synced from
+    the trail when read; branch selection must make the same choice at every
+    node. The n=1024 row fixes 250k edges under heavy backtracking, so most
+    fixes are undone again before the next read of the view."""
+    got = []
+    for n, seed, budget, *_ in LARGE_UNDIRECTED_ROWS:
+        r = _solve("bcef", "undirected", n, seed, budget)
+        got.append((n, seed, budget, r.status.value, *r.stats.deterministic_fields()))
+    assert got == LARGE_UNDIRECTED_ROWS

@@ -16,6 +16,7 @@ from hamdecomp import (
     W,
     Z,
     build_union,
+    chain_fix,
     cycle_edge_multiset,
     enumerate_decompositions,
     gen_instance,
@@ -307,6 +308,70 @@ def test_full_scan_catches_drifted_placed_counter(partial_state):
     partial_state.placed[6] += 1
     with pytest.raises(AssertionError, match="placed"):
         partial_state.check_invariants()
+
+
+def _expected_placed(state):
+    degz, degw = state.deg
+    return [4] + [degz[v] + degw[v] for v in range(1, state.n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_pairs(min_n=4, max_n=14, mode=Mode.UNDIRECTED), st.integers(0, 2**32))
+def test_placed_view_syncs_with_the_trail(pair, seed):
+    """``placed`` is brought up to date from the trail only when read, so
+    many pushes and pops pile up between reads; each read must still equal
+    the per-vertex sum of the two degree counters."""
+    import random
+
+    x, y = pair
+    g = build_union(x, y)
+    rng = random.Random(seed)
+    state = PartialState(g)
+
+    def read():
+        first = bytes(state.placed)
+        assert list(first) == _expected_placed(state)
+        assert state.placed == first  # a read with no change between
+
+    # A read, an undo and a fix of another edge: the trail is as long as
+    # the counted entries again, but its last entry is a new one.
+    assert state.fix_edge(0, Z) is OK
+    read()
+    state.undo_to(0)
+    assert state.fix_edge(1, W) is OK
+    read()
+    marks = [0, 1]
+    for _ in range(6 * g.n):
+        free = [e for e in range(g.num_edges) if state.assignment[e] == FREE]
+        roll = rng.random()
+        if free and roll < 0.6:
+            e, comp = rng.choice(free), rng.choice((Z, W))
+            if roll < 0.3:
+                r = chain_fix(state, e, comp, g)
+            else:
+                r = state.fix_edge(e, comp)
+            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+                state.undo_to(marks[-1])
+            else:
+                marks.append(len(state.trail))
+        else:
+            keep = rng.randrange(len(marks))
+            state.undo_to(marks[keep])
+            del marks[keep + 1:]
+        if rng.random() < 0.2:
+            read()
+    read()
+
+
+def test_snapshot_does_not_alias_the_placed_view(feasible6_union):
+    state = PartialState(feasible6_union)
+    assert state.fix_edge(0, Z) is OK
+    before = state.snapshot()
+    placed_before = bytes(before["placed"])
+    assert state.fix_edge(2, Z) is OK
+    after = state.snapshot()
+    assert before["placed"] == placed_before
+    assert before["placed"] != after["placed"]
 
 
 @pytest.fixture
