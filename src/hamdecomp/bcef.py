@@ -7,7 +7,10 @@ fixed edges in one component; directed, fixing an arc (i, j) fills i's
 out-port and j's in-port, so i's other out-arc and j's other in-arc go to the
 opposite component. Cascades run breadth-first off a work queue, touch each
 edge at most once, and leave all performed fixes on the trail so the caller
-can undo to a mark after a failure.
+can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
+``state.py`` next to ``fix_edge``, whose checks it performs in place; a
+directed fix pushes the one sibling arc at each of its two ports directly.
+It is imported here, so ``bcef.chain_fix`` names it too.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -17,9 +20,6 @@ node; one already in w is skipped.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .errors import AlreadyFixedError
 from .multigraph import HamCycle, Mode, UnionMultigraph, parallel_edge_pairs
 from .result import SolveResult
 from .state import (
@@ -33,59 +33,9 @@ from .state import (
     FixOutcome,
     PartialState,
     SolveLimits,
+    chain_fix,
     solve,
 )
-
-
-def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> FixOutcome:
-    """Fix a free edge and propagate all forced consequences.
-
-    Returns the first failure encountered, with every fix performed so far
-    left on the trail for the caller to undo. A pending forced fix that finds
-    its edge already in the opposite component is a contradiction and reports
-    CONFLICT. Work per cascade is linear: each edge is fixed at most once.
-    """
-    if state.assignment[e] != FREE:
-        raise AlreadyFixedError(f"edge {e} already fixed")
-    assignment = state.assignment
-    ports = g.ports
-    tails = g.tails
-    heads = g.head_port
-    deg = state.deg
-    capacity = state.capacity
-    fix_edge = state.fix_edge
-    queue = deque()
-    push = queue.append
-    pop = queue.popleft
-    push((e, comp))
-    completed = False
-    while queue:
-        f, c = pop()
-        a = assignment[f]
-        if a == c:
-            continue
-        if a != FREE:
-            state.invalid = True
-            return CONFLICT
-        r = fix_edge(f, c)
-        if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-            return r
-        if r is COMPLETES_COMPONENT:
-            completed = True
-        # a port that f filled to capacity in c sends its free edges to the other
-        degc = deg[c]
-        o = 1 - c
-        u = tails[f]
-        if degc[u] == capacity:
-            for fe in ports[u]:
-                if assignment[fe] == FREE:
-                    push((fe, o))
-        v = heads[f]
-        if degc[v] == capacity:
-            for fe in ports[v]:
-                if assignment[fe] == FREE:
-                    push((fe, o))
-    return COMPLETES_COMPONENT if completed else OK
 
 
 def preprocess_parallel(state: PartialState, g: UnionMultigraph,

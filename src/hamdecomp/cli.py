@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from pathlib import Path
@@ -63,7 +64,10 @@ _seconds = _non_negative(float)
 _nodes = _non_negative(int)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and every
+    # default is immutable
     parser = _Parser(prog="hamdecomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

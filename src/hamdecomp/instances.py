@@ -110,7 +110,7 @@ def _parse_vertex_line(tag, line, lineno, n):
             f"'{tag}' line needs {n} vertices, got {len(tokens) - 1}", lineno
         )
     try:
-        vertices = tuple(int(t) for t in tokens[1:])
+        vertices = tuple(map(int, tokens[1:]))
     except ValueError:
         raise InstanceSyntaxError(f"non-integer vertex on '{tag}' line", lineno) from None
     return vertices
@@ -196,7 +196,7 @@ def parse_certificate(text: str) -> Certificate:
             if tokens[0] != tag:
                 raise InstanceSyntaxError(f"expected a '{tag}' line, got {tokens[0]!r}", ln)
             try:
-                vertices = tuple(int(t) for t in tokens[1:])
+                vertices = tuple(map(int, tokens[1:]))
             except ValueError:
                 raise InstanceSyntaxError(f"non-integer vertex on '{tag}' line", ln) from None
             if tag == "z":

@@ -138,14 +138,15 @@ def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:
     """Edge-id pairs of doubled endpoint pairs, lower id first, sorted by lower id.
 
     Each input cycle is simple, so multiplicities never exceed two and every
-    doubled pair couples one edge of each cycle.
+    doubled pair couples one edge of each cycle: x's edge (ids below n), which
+    is the lower id, and y's.
     """
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in range(g.num_edges):
-        by_pair.setdefault((g.tails[e], g.heads[e]), []).append(e)
-    pairs = [tuple(ids) for ids in by_pair.values() if len(ids) == 2]
-    pairs.sort()
-    return pairs
+    n = g.n
+    t = g.tails
+    h = g.heads
+    in_x = dict(zip(zip(t[:n], h[:n]), range(n)))
+    in_y = dict(zip(zip(t[n:], h[n:]), range(n, 2 * n)))
+    return sorted((in_x[p], in_y[p]) for p in in_x.keys() & in_y.keys())
 
 
 def cycle_edge_multiset(c: HamCycle) -> EdgeMultiset:

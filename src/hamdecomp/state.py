@@ -9,7 +9,8 @@ map keys, which makes undo exact without any recomputation.
 
 Both solvers also share the search itself: ``solve`` sets up a run and
 ``backtrack`` is the one depth-first driver, to which a solver supplies only
-its moves.
+its moves. The chain-fixing cascade, ``chain_fix``, lives here too, because it
+writes its forced fixes into the state's fields directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AlreadyFixedError, InvalidMarkError, MismatchedInstancesError, NotCompleteError
-from .multigraph import EdgeMultiset, HamCycle, Mode, UnionMultigraph, cycle_edge_multiset
+from .multigraph import EdgeMultiset, HamCycle, Mode, UnionMultigraph
 from .result import SolveResult, SolveStats, SolveStatus
 
 FREE = -1
@@ -82,7 +83,8 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
     """Decide whether the union of x and y has a second decomposition.
 
     ``moves(state)`` returns one solver's ``(start, expand, take, refute)``
-    for a fresh state on g; ``backtrack`` describes them.
+    for a fresh state on g; ``backtrack`` describes them. g must be
+    ``build_union(x, y)``: complete states are judged against its edge ids.
     """
     if x.n != y.n or x.mode is not y.mode:
         raise MismatchedInstancesError(
@@ -93,17 +95,11 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
             f"graph does not match cycles: n={g.n}/{x.n}, mode={g.mode.value}/{x.mode.value}"
         )
     state = PartialState(g)
-    x_ms = cycle_edge_multiset(x)
-    y_ms = cycle_edge_multiset(y)
     clock = BudgetClock(limits)
     stats = SolveStats()
     began = time.perf_counter()
-
-    def accepted():
-        return state.differs_from_inputs(x_ms, y_ms)
-
     try:
-        witness = backtrack(state, clock, stats, accepted, *moves(state))
+        witness = backtrack(state, clock, stats, state.differs_from_cycles, *moves(state))
         status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
     except BudgetExceeded:
         witness = None
@@ -287,7 +283,8 @@ class PartialState:
     # Failing outcomes (CONFLICT, CLOSES_NON_HAM_CYCLE) leave the state
     # unchanged but flagged invalid until the caller undoes to a mark.
     # Hot loops read ``state.fix_edge`` once and call the mode's method
-    # directly; the two differ only in the port capacity. It is looked up
+    # directly; the two differ only in the port capacity. ``chain_fix`` does
+    # not call them: it performs the same fix in place. It is looked up
     # rather than stored on the state: a bound method kept in a slot is a
     # reference cycle, so every finished state would wait for the cyclic
     # garbage collector instead of being freed on return.
@@ -475,6 +472,44 @@ class PartialState:
         z_counts = Counter(self.component_pairs(Z))
         return z_counts != x_ms.counts and z_counts != y_ms.counts
 
+    def differs_from_cycles(self) -> bool:
+        """``differs_from_inputs`` for the cycles g was built from, by edge id.
+
+        Z and both inputs are Hamiltonian cycles of n edges on distinct
+        endpoint pairs, so Z equals x exactly when every y-edge (id >= n) in Z
+        is a parallel copy of an x-edge, and equals y exactly when every
+        x-edge in Z is a copy of a y-edge. Copies are rare, so each scan stops
+        at the first edge without one, a few edges in.
+        """
+        if not self.is_complete():
+            raise NotCompleteError("difference check needs a complete state")
+        n = self.n
+        return not self._z_only_copies(n, 2 * n) and not self._z_only_copies(0, n)
+
+    def _z_only_copies(self, lo, hi):
+        """True iff every edge with id in [lo, hi) fixed in Z has a parallel
+        copy."""
+        index = self.assignment.index
+        g = self.g
+        tails = g.tails
+        heads = g.heads
+        ports = g.ports
+        e = lo
+        try:
+            while True:
+                e = index(Z, e, hi)
+                t = tails[e]
+                h = heads[e]
+                # a copy shares e's tail, so it sits at e's tail port
+                for f in ports[t]:
+                    if f != e and tails[f] == t and heads[f] == h:
+                        break
+                else:
+                    return False
+                e += 1
+        except ValueError:
+            return True
+
     # -- debug ----------------------------------------------------------
 
     def check_invariants(self):
@@ -552,6 +587,108 @@ class PartialState:
             name: _frozen(getattr(self, name))
             for name in ("assignment", "counts", "trail", "invalid", "deg", "pend", "placed")
         }
+
+
+def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> FixOutcome:
+    """Fix a free edge and propagate all forced consequences.
+
+    A port that a fix fills to capacity in one component sends its free edges
+    to the other, breadth-first off a work queue. Returns the first failure
+    encountered, with every fix performed so far left on the trail for the
+    caller to undo. A pending forced fix that finds its edge already in the
+    opposite component is a contradiction and reports CONFLICT. Work per
+    cascade is linear: each edge is fixed at most once.
+
+    Each forced fix is ``fix_edge`` written out in place, with the same checks
+    in the same order and the same trail entry, so the cascade pays no call
+    per edge. A directed fix fills both of its ports, and each port holds one
+    other arc, so that sibling is pushed directly: the out-port's first.
+    """
+    assignment = state.assignment
+    if assignment[e] != FREE:
+        raise AlreadyFixedError(f"edge {e} already fixed")
+    ports = g.ports
+    tails = g.tails
+    heads = g.head_port
+    degs = state.deg
+    pends = state.pend
+    counts = state.counts
+    push_trail = state.trail.append
+    capacity = state.capacity
+    directed = state.directed
+    n = state.n
+    queue = [e, comp]  # pending fixes, flat: edge, component, edge, ...
+    push = queue.append
+    i = 0
+    fixed = 0
+    r = OK
+    while i < len(queue):
+        f = queue[i]
+        c = queue[i + 1]
+        i += 2
+        a = assignment[f]
+        if a == c:
+            continue
+        if a != FREE:
+            r = CONFLICT
+            break
+        u = tails[f]
+        v = heads[f]
+        deg = degs[c]
+        du = deg[u] + 1
+        dv = deg[v] + 1
+        if du > capacity or dv > capacity:
+            r = CONFLICT
+            break
+        pend = pends[c]
+        eu = pend[u]
+        ev = pend[v]
+        if eu == v:
+            # u and v are the two ends of one fixed path: f closes a cycle
+            cnt = counts[c] + 1
+            if cnt < n:
+                r = CLOSES_NON_HAM_CYCLE
+                break
+            counts[c] = cnt
+            push_trail((f, c, 0, 0))
+            r = COMPLETES_COMPONENT
+        else:
+            counts[c] += 1
+            push_trail((f, c, eu, ev))
+            pend[eu] = ev
+            pend[ev] = eu
+        assignment[f] = c
+        deg[u] = du
+        deg[v] = dv
+        fixed += 1
+        o = 1 - c
+        if directed:
+            # f filled both of its ports; each holds one other arc
+            p, q = ports[u]
+            s = p + q - f
+            if assignment[s] == FREE:
+                push(s)
+                push(o)
+            p, q = ports[v]
+            s = p + q - f
+            if assignment[s] == FREE:
+                push(s)
+                push(o)
+        else:
+            if du == 2:
+                for s in ports[u]:
+                    if assignment[s] == FREE:
+                        push(s)
+                        push(o)
+            if dv == 2:
+                for s in ports[v]:
+                    if assignment[s] == FREE:
+                        push(s)
+                        push(o)
+    state.edges_fixed += fixed
+    if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+        state.invalid = True
+    return r
 
 
 def _frozen(value):

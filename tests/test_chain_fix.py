@@ -1,0 +1,136 @@
+"""The chain-fixing cascade against the cascade built on ``fix_edge``.
+
+``chain_fix`` performs each forced fix in place instead of calling
+``fix_edge``, and a directed fix pushes the sibling arc at each of its two
+ports directly. ``_reference_chain_fix`` is the cascade it replaced, one
+``fix_edge`` call per forced fix and a loop over both edges of every port a
+fix fills. Run side by side on two states, the two must return the same
+outcome and leave the same state, trail order, ``edges_fixed`` and invalid
+flag after every call, on success and on failure.
+"""
+
+import random
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hamdecomp
+from hamdecomp import AlreadyFixedError, FREE, Mode, PartialState, W, Z, build_union, chain_fix
+from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, OK
+from strategies import cycle_pairs
+
+
+def _reference_chain_fix(state, e, comp, g):
+    """Breadth-first cascade through ``state.fix_edge``: a port that a fix
+    filled to capacity in c sends its free edges to the other component."""
+    if state.assignment[e] != FREE:
+        raise AlreadyFixedError(f"edge {e} already fixed")
+    assignment = state.assignment
+    ports = g.ports
+    tails = g.tails
+    heads = g.head_port
+    deg = state.deg
+    capacity = state.capacity
+    fix_edge = state.fix_edge
+    queue = deque()
+    push = queue.append
+    pop = queue.popleft
+    push((e, comp))
+    completed = False
+    while queue:
+        f, c = pop()
+        a = assignment[f]
+        if a == c:
+            continue
+        if a != FREE:
+            state.invalid = True
+            return CONFLICT
+        r = fix_edge(f, c)
+        if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+            return r
+        if r is COMPLETES_COMPONENT:
+            completed = True
+        degc = deg[c]
+        o = 1 - c
+        u = tails[f]
+        if degc[u] == capacity:
+            for fe in ports[u]:
+                if assignment[fe] == FREE:
+                    push((fe, o))
+        v = heads[f]
+        if degc[v] == capacity:
+            for fe in ports[v]:
+                if assignment[fe] == FREE:
+                    push((fe, o))
+    return COMPLETES_COMPONENT if completed else OK
+
+
+def _same(kernel, reference):
+    assert kernel.snapshot() == reference.snapshot()
+    assert kernel.edges_fixed == reference.edges_fixed
+    assert kernel.invalid == reference.invalid
+
+
+@pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_cascade_matches_reference(mode, data, seed):
+    x, y = data.draw(cycle_pairs(min_n=4, max_n=12, mode=mode))
+    g = build_union(x, y)
+    rng = random.Random(seed)
+    kernel = PartialState(g)
+    reference = PartialState(g)
+    marks = [0]  # trail lengths of the states on the current path
+    outcomes = set()
+    for _ in range(6 * g.n):
+        free = [e for e in range(g.num_edges) if kernel.assignment[e] == FREE]
+        roll = rng.random()
+        if free and roll < 0.7:
+            e, comp = rng.choice(free), rng.choice((Z, W))
+            if roll < 0.55:
+                r = chain_fix(kernel, e, comp, g)
+                assert _reference_chain_fix(reference, e, comp, g) is r
+            else:
+                r = kernel.fix_edge(e, comp)
+                assert reference.fix_edge(e, comp) is r
+            outcomes.add(r)
+            _same(kernel, reference)
+            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+                kernel.undo_to(marks[-1])
+                reference.undo_to(marks[-1])
+            else:
+                marks.append(len(kernel.trail))
+        elif roll < 0.75 and len(free) < g.num_edges:
+            fixed = rng.choice([e for e in range(g.num_edges) if kernel.assignment[e] != FREE])
+            with pytest.raises(AlreadyFixedError):
+                chain_fix(kernel, fixed, rng.choice((Z, W)), g)
+        else:
+            keep = rng.randrange(len(marks))
+            kernel.undo_to(marks[keep])
+            reference.undo_to(marks[keep])
+            del marks[keep + 1:]
+        _same(kernel, reference)
+    assert outcomes  # at least one fix was compared
+
+
+@pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
+def test_cascades_from_every_edge_match_reference(mode):
+    """From the empty state, cascade every edge into each component: the
+    long cascades, whole decompositions and failures of a first decision."""
+    for n in range(3, 10):
+        for seed in range(8):
+            inst = hamdecomp.gen_instance(n, mode, seed)
+            g = build_union(inst.x, inst.y)
+            for e in range(g.num_edges):
+                for comp in (Z, W):
+                    kernel = PartialState(g)
+                    reference = PartialState(g)
+                    r = chain_fix(kernel, e, comp, g)
+                    assert _reference_chain_fix(reference, e, comp, g) is r
+                    _same(kernel, reference)
+
+
+def test_one_cascade_under_every_name():
+    assert hamdecomp.chain_fix is hamdecomp.bcef.chain_fix is hamdecomp.state.chain_fix

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hamdecomp import (
     HamCycle,
@@ -137,3 +138,18 @@ def test_union_multiset_is_sum_of_cycle_multisets(pair):
     g = build_union(x, y)
     merged = cycle_edge_multiset(x).counts + cycle_edge_multiset(y).counts
     assert merged == g.edge_multiset().counts
+
+
+def _setdefault_parallel_pairs(g):
+    """Doubled endpoint pairs by grouping every edge id under its pair."""
+    by_pair = {}
+    for e in range(g.num_edges):
+        by_pair.setdefault((g.tails[e], g.heads[e]), []).append(e)
+    return sorted(tuple(ids) for ids in by_pair.values() if len(ids) == 2)
+
+
+@given(cycle_pairs(max_n=14), st.booleans())
+def test_parallel_pairs_match_grouping_by_pair(pair, doubled):
+    x, y = pair
+    g = build_union(x, x if doubled else y)
+    assert parallel_edge_pairs(g) == _setdefault_parallel_pairs(g)

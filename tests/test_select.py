@@ -1,10 +1,10 @@
 """Undirected branch-vertex selection against the full scan it replaced.
 
 ``select_branch_edge`` finds the undirected branch vertex from the
-placed-edge counts that ``fix_edge`` and ``undo_to`` keep; ``_reference_select``
-is the loop over every vertex it replaced. Both must make the same choice at
-every state a chain-fixing search can reach, and at the open states a single
-fix leaves between cascades.
+placed-edge counts of ``state.placed``, a view synced from the trail when
+read; ``_reference_select`` is the loop over every vertex it replaced. Both
+must make the same choice at every state a chain-fixing search can reach, and
+at the open states a single fix leaves between cascades.
 """
 
 import random

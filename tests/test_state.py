@@ -429,3 +429,48 @@ def test_searches_leave_no_reference_cycles(mode):
     assert _unreachable_after(lambda: enumerate_decompositions(g)) == 0
     assert _unreachable_after(lambda: solve_bsp(g, inst.x, inst.y, limits)) == 0
     assert _unreachable_after(lambda: solve_bcef(g, inst.x, inst.y, limits)) == 0
+
+
+def _complete_states(state, g, e=0):
+    """Every complete state reachable by putting each edge, in id order, in
+    Z or W; yields with the state complete, restored on return."""
+    if e == g.num_edges:
+        if state.is_complete():
+            yield
+        return
+    for comp in (Z, W):
+        mark = state.mark()
+        r = state.fix_edge(e, comp)
+        if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
+            yield from _complete_states(state, g, e + 1)
+        state.undo_to(mark)
+
+
+@pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
+def test_edge_id_acceptance_matches_multisets(mode):
+    """On every complete state of an exhaustive search, judging Z by edge ids
+    agrees with comparing its endpoint multiset against both inputs."""
+    judged = 0
+    differing = 0
+    for n in range(3, 9):
+        insts = [gen_instance(n, mode, seed) for seed in range(60)]
+        doubled = (insts[0].x, insts[0].x)
+        for x, y in [(inst.x, inst.y) for inst in insts] + [doubled]:
+            g = build_union(x, y)
+            x_ms = cycle_edge_multiset(x)
+            y_ms = cycle_edge_multiset(y)
+            state = PartialState(g)
+            for _ in _complete_states(state, g):
+                expected = state.differs_from_inputs(x_ms, y_ms)
+                assert state.differs_from_cycles() == expected
+                judged += 1
+                differing += expected
+    # both answers occur, so neither constant passes
+    assert differing and judged - differing
+
+
+def test_edge_id_acceptance_requires_completion(feasible6_union):
+    state = PartialState(feasible6_union)
+    state.fix_edge(0, Z)
+    with pytest.raises(NotCompleteError):
+        state.differs_from_cycles()
