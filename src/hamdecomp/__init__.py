@@ -49,12 +49,13 @@ from .result import SolveResult, SolveStats, SolveStatus
 from .state import FREE, W, Z, FixOutcome, PartialState, SolveLimits
 from .verify import decomposition_problems, is_valid_decomposition
 
+# chain_fix, preprocess_parallel, select_branch_edge, FREE and multiset_equals
+# are engine internals: importable by name, but not part of the public API.
 __all__ = [
     "AlreadyFixedError",
     "Certificate",
     "DecompositionSet",
     "EdgeMultiset",
-    "FREE",
     "FixOutcome",
     "HamCycle",
     "HamdecompError",
@@ -79,20 +80,16 @@ __all__ = [
     "Z",
     "build_union",
     "certificate_of",
-    "chain_fix",
     "cycle_edge_multiset",
     "decomposition_problems",
     "enumerate_decompositions",
     "gen_cycle",
     "gen_instance",
     "is_valid_decomposition",
-    "multiset_equals",
     "parallel_edge_pairs",
     "parse_certificate",
     "parse_instance",
-    "preprocess_parallel",
     "second_decomposition_exists",
-    "select_branch_edge",
     "solve_bcef",
     "solve_bsp",
     "write_certificate",

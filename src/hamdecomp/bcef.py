@@ -10,7 +10,9 @@ edge at most once, and leave all performed fixes on the trail so the caller
 can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
 ``state.py`` next to ``fix_edge``, whose checks it performs in place; a
 directed fix pushes the one sibling arc at each of its two ports directly.
-It is imported here, so ``bcef.chain_fix`` names it too.
+It is imported here, so ``bcef.chain_fix`` names it too. Only the choice of
+the branch vertex differs by mode; its candidates are the free edges at its
+port, which for a directed vertex is its out-port.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -117,7 +119,7 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
         if not best:
             return None
         cands = sorted(
-            (g.heads[e], e) for e in g.out_inc[best] if assignment[e] == FREE
+            (g.heads[e], e) for e in g.ports[best] if assignment[e] == FREE
         )
         return best, [e for _, e in cands]
     find = state.placed.find
@@ -130,7 +132,7 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
     tails = g.tails
     heads = g.heads
     cands = []
-    for e in g.inc[best]:
+    for e in g.ports[best]:
         if assignment[e] == FREE:
             k = heads[e] if tails[e] == best else tails[e]
             cands.append((4 - degz[k] - degw[k], k, e))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bcef import solve_bcef
 from .bsp import solve_bsp
-from .errors import HamdecompError, ParseError
+from .errors import HamdecompError
 from .instances import (
     gen_instance,
     parse_certificate,
@@ -294,9 +294,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except HamdecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

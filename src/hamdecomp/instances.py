@@ -101,11 +101,12 @@ def _significant_lines(text):
         yield i, line
 
 
-def _parse_vertex_line(tag, line, lineno, n):
+def _parse_vertex_line(tag, line, lineno, n=None):
+    """The vertices on a '<tag> v1 ... vn' line; n, if given, is checked."""
     tokens = line.split()
     if tokens[0] != tag:
         raise InstanceSyntaxError(f"expected a '{tag}' line, got {tokens[0]!r}", lineno)
-    if len(tokens) != n + 1:
+    if n is not None and len(tokens) != n + 1:
         raise InstanceSyntaxError(
             f"'{tag}' line needs {n} vertices, got {len(tokens) - 1}", lineno
         )
@@ -190,20 +191,9 @@ def parse_certificate(text: str) -> Certificate:
     if status is SolveStatus.DECOMPOSED:
         if len(lines) < 3:
             raise InstanceSyntaxError("DECOMPOSED certificate needs 'z' and 'w' lines", lineno)
-        for tag in ("z", "w"):
-            ln, line = lines[idx]
-            tokens = line.split()
-            if tokens[0] != tag:
-                raise InstanceSyntaxError(f"expected a '{tag}' line, got {tokens[0]!r}", ln)
-            try:
-                vertices = tuple(map(int, tokens[1:]))
-            except ValueError:
-                raise InstanceSyntaxError(f"non-integer vertex on '{tag}' line", ln) from None
-            if tag == "z":
-                z = vertices
-            else:
-                w = vertices
-            idx += 1
+        z = _parse_vertex_line("z", lines[1][1], lines[1][0])
+        w = _parse_vertex_line("w", lines[2][1], lines[2][0])
+        idx = 3
     if idx >= len(lines):
         raise InstanceSyntaxError("missing 't' stats line")
     ln, line = lines[idx]

@@ -60,9 +60,6 @@ class EdgeMultiset:
     mode: Mode
     counts: Counter
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 class UnionMultigraph:
     """Immutable union of two Hamiltonian cycles with per-edge identities.
@@ -76,37 +73,34 @@ class UnionMultigraph:
     head at in-port n + v, one arc of each component per port. ``ports``
     lists the edges at each port (index 0 is empty) and ``head_port`` the
     port of each edge's head; edge e joins ports ``tails[e]`` and
-    ``head_port[e]``.
+    ``head_port[e]``. ``inc`` (undirected) and ``out_inc``/``in_inc``
+    (directed) are per-vertex views of ``ports``. ``cycles`` is the pair
+    ``build_union`` built the graph from, None otherwise.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc", "ports", "head_port")
+    __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc", "ports", "head_port",
+                 "cycles")
 
     def __init__(self, n, mode, tails, heads):
         self.n = n
         self.mode = mode
         self.tails = tuple(tails)
         self.heads = tuple(heads)
-        if mode is Mode.DIRECTED:
-            out_inc = [[] for _ in range(n + 1)]
-            in_inc = [[] for _ in range(n + 1)]
-            for e in range(2 * n):
-                out_inc[self.tails[e]].append(e)
-                in_inc[self.heads[e]].append(e)
-            self.out_inc = tuple(tuple(lst) for lst in out_inc)
-            self.in_inc = tuple(tuple(lst) for lst in in_inc)
+        self.cycles = None
+        directed = mode is Mode.DIRECTED
+        self.head_port = tuple([n + v for v in self.heads]) if directed else self.heads
+        ports = [[] for _ in range(2 * n + 1 if directed else n + 1)]
+        for e, (u, v) in enumerate(zip(self.tails, self.head_port)):
+            ports[u].append(e)
+            ports[v].append(e)
+        self.ports = tuple([tuple(lst) for lst in ports])
+        if directed:
             self.inc = None
-            self.ports = self.out_inc + self.in_inc[1:]
-            self.head_port = tuple([n + v for v in self.heads])
+            self.out_inc = self.ports[:n + 1]
+            self.in_inc = ((),) + self.ports[n + 1:]
         else:
-            inc = [[] for _ in range(n + 1)]
-            for e in range(2 * n):
-                inc[self.tails[e]].append(e)
-                inc[self.heads[e]].append(e)
-            self.inc = tuple(tuple(lst) for lst in inc)
-            self.out_inc = None
-            self.in_inc = None
-            self.ports = self.inc
-            self.head_port = self.heads
+            self.inc = self.ports
+            self.out_inc = self.in_inc = None
 
     @property
     def num_edges(self) -> int:
@@ -131,7 +125,9 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
         for u, v in cycle.edge_pairs():
             tails.append(u)
             heads.append(v)
-    return UnionMultigraph(x.n, x.mode, tails, heads)
+    g = UnionMultigraph(x.n, x.mode, tails, heads)
+    g.cycles = (x, y)
+    return g
 
 
 def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:

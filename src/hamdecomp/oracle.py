@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLargeError
-from .multigraph import HamCycle, UnionMultigraph, cycle_edge_multiset
+from .errors import MismatchedInstancesError, TooLargeError
+from .multigraph import HamCycle, UnionMultigraph
 from .state import CLOSES_NON_HAM_CYCLE, CONFLICT, W, Z, PartialState
 
 MAX_ORACLE_N = 14
@@ -47,10 +47,7 @@ def _canonical_pair(a_pairs, b_pairs):
 
 def canonical_input_pair(x: HamCycle, y: HamCycle):
     """The instance's own decomposition in the oracle's canonical form."""
-    return _canonical_pair(
-        cycle_edge_multiset(x).counts.elements(),
-        cycle_edge_multiset(y).counts.elements(),
-    )
+    return _canonical_pair(x.edge_pairs(), y.edge_pairs())
 
 
 def _vertex_completion_order(g: UnionMultigraph) -> list[int]:
@@ -109,7 +106,10 @@ def _assign(state, fix_edge, order, i, found):
 
 
 def second_decomposition_exists(g: UnionMultigraph, x: HamCycle, y: HamCycle) -> bool:
-    """True iff the union decomposes into a pair other than the inputs."""
+    """True iff the union decomposes into a pair other than the inputs; g must
+    be ``build_union(x, y)``."""
+    if g.cycles != (x, y):
+        raise MismatchedInstancesError("graph was not built from these cycles")
     input_pair = canonical_input_pair(x, y)
     ds = enumerate_decompositions(g)
     return any(pair != input_pair for pair in ds.decompositions)

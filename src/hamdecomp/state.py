@@ -5,7 +5,9 @@ keeps per-port degree counters and, per component, a pairing of the two ends
 of every maximal fixed path. Joining the two ends of the same path is the only
 way a fixed component can close a cycle, so cycle detection is O(1) per fix.
 Every successful fix pushes one trail entry carrying the overwritten endpoint
-map keys, which makes undo exact without any recomputation.
+map keys, which makes undo exact without any recomputation. One fix body
+serves both modes: they differ only in how many edges of a component a port
+holds, which the state keeps as ``capacity``.
 
 Both solvers also share the search itself: ``solve`` sets up a run and
 ``backtrack`` is the one depth-first driver, to which a solver supplies only
@@ -84,16 +86,11 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
 
     ``moves(state)`` returns one solver's ``(start, expand, take, refute)``
     for a fresh state on g; ``backtrack`` describes them. g must be
-    ``build_union(x, y)``: complete states are judged against its edge ids.
+    ``build_union(x, y)``, as complete states are judged against its edge
+    ids; any other graph raises MismatchedInstancesError.
     """
-    if x.n != y.n or x.mode is not y.mode:
-        raise MismatchedInstancesError(
-            f"cycles disagree: n={x.n}/{y.n}, mode={x.mode.value}/{y.mode.value}"
-        )
-    if g.n != x.n or g.mode is not x.mode:
-        raise MismatchedInstancesError(
-            f"graph does not match cycles: n={g.n}/{x.n}, mode={g.mode.value}/{x.mode.value}"
-        )
+    if g.cycles != (x, y):
+        raise MismatchedInstancesError("graph was not built from these cycles")
     state = PartialState(g)
     clock = BudgetClock(limits)
     stats = SolveStats()
@@ -282,12 +279,14 @@ class PartialState:
     # fix_edge(e, comp) -> FixOutcome assigns a free edge to a component.
     # Failing outcomes (CONFLICT, CLOSES_NON_HAM_CYCLE) leave the state
     # unchanged but flagged invalid until the caller undoes to a mark.
-    # Hot loops read ``state.fix_edge`` once and call the mode's method
-    # directly; the two differ only in the port capacity. ``chain_fix`` does
-    # not call them: it performs the same fix in place. It is looked up
-    # rather than stored on the state: a bound method kept in a slot is a
-    # reference cycle, so every finished state would wait for the cyclic
-    # garbage collector instead of being freed on return.
+    # One body serves both modes, checking ports against ``capacity``. It has
+    # one name per mode, which ``fix_edge`` looks up on each read, so a
+    # wrapper set on one name sees that mode's fixes. Hot loops read
+    # ``state.fix_edge`` once; ``chain_fix`` does not call it but performs the
+    # same fix in place. It is looked up rather than stored on the state: a
+    # bound method kept in a slot is a reference cycle, so every finished
+    # state would wait for the cyclic garbage collector instead of being
+    # freed on return.
 
     @property
     def fix_edge(self):
@@ -299,7 +298,8 @@ class PartialState:
         u = self.g.tails[e]
         v = self.g.head_port[e]
         deg = self.deg[comp]
-        if deg[u] == 2 or deg[v] == 2:
+        capacity = self.capacity
+        if deg[u] == capacity or deg[v] == capacity:
             self.invalid = True
             return CONFLICT
         pend = self.pend[comp]
@@ -328,40 +328,7 @@ class PartialState:
         self.edges_fixed += 1
         return OK
 
-    def _fix_directed(self, e, comp):
-        if self.assignment[e] != FREE:
-            raise AlreadyFixedError(f"edge {e} already fixed")
-        u = self.g.tails[e]
-        v = self.g.head_port[e]
-        deg = self.deg[comp]
-        if deg[u] or deg[v]:
-            self.invalid = True
-            return CONFLICT
-        pend = self.pend[comp]
-        eu = pend[u]
-        ev = pend[v]
-        if eu == v:
-            # u and v are the two ends of one fixed path: this arc closes a cycle
-            cnt = self.counts[comp] + 1
-            if cnt < self.n:
-                self.invalid = True
-                return CLOSES_NON_HAM_CYCLE
-            self.assignment[e] = comp
-            deg[u] = 1
-            deg[v] = 1
-            self.counts[comp] = cnt
-            self.trail.append((e, comp, 0, 0))
-            self.edges_fixed += 1
-            return COMPLETES_COMPONENT
-        self.assignment[e] = comp
-        deg[u] = 1
-        deg[v] = 1
-        self.counts[comp] += 1
-        self.trail.append((e, comp, eu, ev))
-        pend[eu] = ev
-        pend[ev] = eu
-        self.edges_fixed += 1
-        return OK
+    _fix_directed = _fix_undirected
 
     # -- undo -----------------------------------------------------------
 

@@ -114,13 +114,27 @@ def test_showcase_witness_differs_from_input(feasible6):
 @given(cycle_pairs())
 def test_union_is_regular(pair):
     x, y = pair
+    n = x.n
     g = build_union(x, y)
-    assert g.num_edges == 2 * x.n
+    assert g.num_edges == 2 * n
     if x.mode is Mode.DIRECTED:
-        assert all(len(g.out_inc[v]) == 2 for v in range(1, x.n + 1))
-        assert all(len(g.in_inc[v]) == 2 for v in range(1, x.n + 1))
+        assert all(len(g.out_inc[v]) == 2 for v in range(1, n + 1))
+        assert all(len(g.in_inc[v]) == 2 for v in range(1, n + 1))
+        # the per-vertex tables are views of the one port table
+        assert g.out_inc == g.ports[:n + 1]
+        assert g.in_inc == ((),) + g.ports[n + 1:]
+        assert g.in_inc[1:] == tuple(
+            tuple(e for e in range(2 * n) if g.heads[e] == v) for v in range(1, n + 1)
+        )
     else:
-        assert all(len(g.inc[v]) == 4 for v in range(1, x.n + 1))
+        assert all(len(g.inc[v]) == 4 for v in range(1, n + 1))
+        assert g.inc is g.ports
+    # every port lists, in ascending id, the edges with an end at it
+    assert g.ports[0] == ()
+    assert g.ports[1:] == tuple(
+        tuple(e for e in range(2 * n) if p in (g.tails[e], g.head_port[e]))
+        for p in range(1, len(g.ports))
+    )
 
 
 @given(cycle_pairs())

@@ -9,10 +9,12 @@ from hamdecomp import (
     AlreadyFixedError,
     HamCycle,
     InvalidMarkError,
+    MismatchedInstancesError,
     Mode,
     NotCompleteError,
     PartialState,
     SolveLimits,
+    UnionMultigraph,
     W,
     Z,
     build_union,
@@ -20,6 +22,7 @@ from hamdecomp import (
     cycle_edge_multiset,
     enumerate_decompositions,
     gen_instance,
+    second_decomposition_exists,
     solve_bcef,
     solve_bsp,
 )
@@ -474,3 +477,22 @@ def test_edge_id_acceptance_requires_completion(feasible6_union):
     state.fix_edge(0, Z)
     with pytest.raises(NotCompleteError):
         state.differs_from_cycles()
+
+
+@pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
+@pytest.mark.parametrize("entry", [solve_bsp, solve_bcef, second_decomposition_exists],
+                         ids=["bsp", "bcef", "oracle"])
+def test_graph_of_other_cycles_rejected(mode, entry):
+    """A verdict is about the pair g was built from, so any other pair, or a
+    graph not built by build_union, is refused rather than answered."""
+    a = gen_instance(12, mode, 1)
+    b = gen_instance(12, mode, 2)
+    g = build_union(a.x, a.y)
+    for x, y in ((a.x, b.y), (b.x, a.y), (a.y, a.x), (b.x, b.y)):
+        with pytest.raises(MismatchedInstancesError):
+            entry(g, x, y)
+    bare = UnionMultigraph(g.n, g.mode, g.tails, g.heads)
+    with pytest.raises(MismatchedInstancesError):
+        entry(bare, a.x, a.y)
+    # equal cycles that are other objects are the same pair
+    entry(g, HamCycle(a.x.vertices, mode), HamCycle(a.y.vertices, mode))
