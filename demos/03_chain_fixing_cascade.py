@@ -16,15 +16,15 @@ state = PartialState(g)
 
 preprocess_parallel(state, g)
 print("after preprocessing (parallel copies split):")
-for e, comp, _, _ in state.trail:
-    print(f"  arc {g.endpoints(e)} -> {'zw'[comp]}")
+for e in state.trail:
+    print(f"  arc {g.endpoints(e)} -> {'zw'[state.assignment[e]]}")
 
 e12 = next(e for e in range(g.num_edges) if g.endpoints(e) == (1, 2))
 mark = state.mark()
 outcome = chain_fix(state, e12, Z, g)
 print(f"\nchain_fix((1,2) -> z) returned {outcome.name}; cascade order:")
-for e, comp, _, _ in state.trail[mark:]:
-    print(f"  arc {g.endpoints(e)} -> {'zw'[comp]}")
+for e in state.trail[mark:]:
+    print(f"  arc {g.endpoints(e)} -> {'zw'[state.assignment[e]]}")
 
 z, w = state.extract_decomposition()
 print(f"\nforced decomposition: z={z.vertices}, w={w.vertices}")

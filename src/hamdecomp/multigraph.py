@@ -74,32 +74,28 @@ class UnionMultigraph:
     lists the edges at each port (index 0 is empty) and ``head_port`` the
     port of each edge's head; edge e joins ports ``tails[e]`` and
     ``head_port[e]``. ``inc`` (undirected) and ``out_inc``/``in_inc``
-    (directed) are per-vertex views of ``ports``. ``cycles`` is the pair
-    ``build_union`` built the graph from, None otherwise.
+    (directed) are per-vertex views of ``ports``. ``build_union`` makes
+    every table; ``cycles`` is the pair it built them from, and None marks a
+    graph of no known pair.
     """
 
     __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc", "ports", "head_port",
                  "cycles")
 
-    def __init__(self, n, mode, tails, heads):
+    def __init__(self, n, mode, tails, heads, head_port, ports, cycles):
         self.n = n
         self.mode = mode
-        self.tails = tuple(tails)
-        self.heads = tuple(heads)
-        self.cycles = None
-        directed = mode is Mode.DIRECTED
-        self.head_port = tuple([n + v for v in self.heads]) if directed else self.heads
-        ports = [[] for _ in range(2 * n + 1 if directed else n + 1)]
-        for e, (u, v) in enumerate(zip(self.tails, self.head_port)):
-            ports[u].append(e)
-            ports[v].append(e)
-        self.ports = tuple([tuple(lst) for lst in ports])
-        if directed:
+        self.tails = tails
+        self.heads = heads
+        self.head_port = head_port
+        self.ports = ports
+        self.cycles = cycles
+        if mode is Mode.DIRECTED:
             self.inc = None
-            self.out_inc = self.ports[:n + 1]
-            self.in_inc = ((),) + self.ports[n + 1:]
+            self.out_inc = ports[:n + 1]
+            self.in_inc = ((),) + ports[n + 1:]
         else:
-            self.inc = self.ports
+            self.inc = ports
             self.out_inc = self.in_inc = None
 
     @property
@@ -114,20 +110,49 @@ class UnionMultigraph:
 
 
 def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
-    """Build the union multigraph of x and y; shared edges appear as two parallel copies."""
+    """Build the union multigraph of x and y; shared edges appear as two parallel copies.
+
+    The edge leaving the vertex at position i of x has id i and the edge
+    arriving there id i - 1 (mod n), and likewise n + i and n + i - 1 in y,
+    so every port's edges follow from the two cycles' position tables.
+    """
     if x.n != y.n or x.mode is not y.mode:
         raise MismatchedInstancesError(
             f"cycles disagree: n={x.n}/{y.n}, mode={x.mode.value}/{y.mode.value}"
         )
+    n = x.n
+    directed = x.mode is Mode.DIRECTED
+    leaving = []  # per cycle, the id of the edge leaving each vertex 1..n
     tails = []
     heads = []
-    for cycle in (x, y):
-        for u, v in cycle.edge_pairs():
-            tails.append(u)
-            heads.append(v)
-    g = UnionMultigraph(x.n, x.mode, tails, heads)
-    g.cycles = (x, y)
-    return g
+    for base, c in ((0, x), (n, y)):
+        vs = c.vertices
+        pos = [0] * (n + 1)
+        for i, v in enumerate(vs, base):
+            pos[v] = i
+        leaving.append(pos[1:])
+        nxt = vs[1:] + vs[:1]
+        if directed:
+            tails += vs
+            heads += nxt
+        else:
+            tails += [u if u < v else v for u, v in zip(vs, nxt)]
+            heads += [v if u < v else u for u, v in zip(vs, nxt)]
+    tails = tuple(tails)
+    heads = tuple(heads)
+    lx, ly = leaving
+    if directed:
+        # out-port v holds the arcs leaving v, in-port n + v those arriving
+        arriving = (n - 1, *range(n - 1), 2 * n - 1, *range(n, 2 * n - 1)).__getitem__
+        ports = ((), *zip(lx, ly), *zip(map(arriving, lx), map(arriving, ly)))
+        head_port = tuple([n + v for v in heads])
+    else:
+        # the two edges at the vertex where edge i leaves, lower id first
+        at = ((0, n - 1), *zip(range(n - 1), range(1, n)),
+              (n, 2 * n - 1), *zip(range(n, 2 * n - 1), range(n + 1, 2 * n)))
+        ports = ((), *[at[a] + at[b] for a, b in zip(lx, ly)])
+        head_port = heads
+    return UnionMultigraph(n, x.mode, tails, heads, head_port, ports, (x, y))
 
 
 def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:
@@ -135,14 +160,16 @@ def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:
 
     Each input cycle is simple, so multiplicities never exceed two and every
     doubled pair couples one edge of each cycle: x's edge (ids below n), which
-    is the lower id, and y's.
+    is the lower id, and y's. The y-copy of an x-edge shares its tail port,
+    where y's edges follow x's: one of each directed, two undirected.
     """
     n = g.n
-    t = g.tails
-    h = g.heads
-    in_x = dict(zip(zip(t[:n], h[:n]), range(n)))
-    in_y = dict(zip(zip(t[n:], h[n:]), range(n, 2 * n)))
-    return sorted((in_x[p], in_y[p]) for p in in_x.keys() & in_y.keys())
+    tails = g.tails
+    heads = g.heads
+    ports = g.ports
+    first_y = 1 if g.mode is Mode.DIRECTED else 2
+    return [(a, b) for a, t, h in zip(range(n), tails, heads)
+            for b in ports[t][first_y:] if heads[b] == h]
 
 
 def cycle_edge_multiset(c: HamCycle) -> EdgeMultiset:

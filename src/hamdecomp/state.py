@@ -4,10 +4,11 @@ Edges are assigned to one of two components (Z or W) one at a time. The state
 keeps per-port degree counters and, per component, a pairing of the two ends
 of every maximal fixed path. Joining the two ends of the same path is the only
 way a fixed component can close a cycle, so cycle detection is O(1) per fix.
-Every successful fix pushes one trail entry carrying the overwritten endpoint
-map keys, which makes undo exact without any recomputation. One fix body
-serves both modes: they differ only in how many edges of a component a port
-holds, which the state keeps as ``capacity``.
+Every successful fix pushes its edge id on the trail and saves, per edge, the
+endpoint map keys it overwrote, which makes undo exact without any
+recomputation or any allocation per fix. One fix body serves both modes: they
+differ only in how many edges of a component a port holds, which the state
+keeps as ``capacity``.
 
 Both solvers also share the search itself: ``solve`` sets up a run and
 ``backtrack`` is the one depth-first driver, to which a solver supplies only
@@ -203,10 +204,14 @@ class PartialState:
     Public attributes read by the solvers:
       assignment  -- per-edge component, FREE when unassigned
       counts      -- fixed-edge totals per component
-      trail       -- fix log of (edge, component, a, b): a and b are the far
-                     ends of the two paths the edge joined, the pend keys the
-                     fix overwrote ((0, 0) when it closed a cycle); its length
-                     is the undo mark space
+      trail       -- fix log of edge ids, oldest first; its length is the
+                     undo mark space, and a fixed edge's component is its
+                     ``assignment``
+      saved_a, saved_b -- per edge, the far ends of the two paths its fix
+                     joined, the pend keys the fix overwrote (0 and 0 when it
+                     closed a cycle); meaningful only while the edge is fixed.
+                     ``snapshot`` shows a trail entry e as
+                     (e, assignment[e], saved_a[e], saved_b[e])
       edges_fixed -- monotone total of successful fixes (survives undo)
       capacity    -- edges of one component a port holds: 2, directed 1
       deg         -- per component, fixed edges at each port
@@ -219,11 +224,14 @@ class PartialState:
                      by ``fix_edge`` and ``undo_to``: a read costs the trail
                      entries pushed or popped since the last one, and fixes
                      made and undone between two reads are never counted.
+                     ``undo_to`` only lowers ``_synced``, the length of the
+                     trail prefix that the last read counted and no undo has
+                     popped since.
     """
 
     __slots__ = (
-        "g", "n", "directed", "assignment", "counts", "trail", "invalid",
-        "edges_fixed", "capacity", "deg", "pend", "_placed",
+        "g", "n", "directed", "assignment", "counts", "trail", "saved_a", "saved_b", "invalid",
+        "edges_fixed", "capacity", "deg", "pend", "_placed", "_synced",
     )
 
     def __init__(self, g: UnionMultigraph):
@@ -233,6 +241,9 @@ class PartialState:
         self.assignment = [FREE] * g.num_edges
         self.counts = [0, 0]
         self.trail = []
+        self.saved_a = [0] * g.num_edges
+        self.saved_b = [0] * g.num_edges
+        self._synced = 0
         self.invalid = False
         self.edges_fixed = 0
         size = len(g.ports)
@@ -255,23 +266,23 @@ class PartialState:
             return None
         placed, counted = view
         trail = self.trail
-        # Entries are only pushed and popped at the end of the trail, and each
-        # fix pushes a new tuple, so the counted entries still on the trail
-        # are the prefix up to the last position where both hold one object.
-        k = min(len(counted), len(trail))
-        while k and counted[k - 1] is not trail[k - 1]:
-            k -= 1
+        # Entries are only pushed and popped at the end of the trail, so the
+        # counted entries still on it are the prefix that no undo has reached.
+        # The same edge can be fixed again at the same position, so the
+        # entries themselves cannot tell.
+        k = self._synced
         if k != len(counted) or k != len(trail):
             tails = self.g.tails
             heads = self.g.head_port
-            for e, _, _, _ in counted[k:]:
+            for e in counted[k:]:
                 placed[tails[e]] -= 1
                 placed[heads[e]] -= 1
             pushed = trail[k:]
-            for e, _, _, _ in pushed:
+            for e in pushed:
                 placed[tails[e]] += 1
                 placed[heads[e]] += 1
             counted[k:] = pushed
+            self._synced = len(trail)
         return placed
 
     # -- fixing ---------------------------------------------------------
@@ -315,14 +326,17 @@ class PartialState:
             deg[u] += 1
             deg[v] += 1
             self.counts[comp] = cnt
-            self.trail.append((e, comp, 0, 0))
+            self.trail.append(e)
+            self.saved_a[e] = self.saved_b[e] = 0
             self.edges_fixed += 1
             return COMPLETES_COMPONENT
         self.assignment[e] = comp
         deg[u] += 1
         deg[v] += 1
         self.counts[comp] += 1
-        self.trail.append((e, comp, eu, ev))
+        self.trail.append(e)
+        self.saved_a[e] = eu
+        self.saved_b[e] = ev
         pend[eu] = ev
         pend[ev] = eu
         self.edges_fixed += 1
@@ -343,22 +357,28 @@ class PartialState:
         tails = self.g.tails
         heads = self.g.head_port
         assignment = self.assignment
+        saved_a = self.saved_a
+        saved_b = self.saved_b
         counts = self.counts
         degs = self.deg
         pends = self.pend
         while len(trail) > mark:
-            e, comp, eu, ev = trail.pop()
+            e = trail.pop()
             u = tails[e]
             v = heads[e]
+            comp = assignment[e]
             assignment[e] = FREE
             deg = degs[comp]
             deg[u] -= 1
             deg[v] -= 1
             counts[comp] -= 1
+            eu = saved_a[e]
             if eu:
                 pend = pends[comp]
                 pend[eu] = u
-                pend[ev] = v
+                pend[saved_b[e]] = v
+        if mark < self._synced:
+            self._synced = mark
         self.invalid = False
 
     # -- queries --------------------------------------------------------
@@ -487,6 +507,9 @@ class PartialState:
         n = self.n
         g = self.g
         assert len(self.trail) == self.counts[Z] + self.counts[W], "trail length mismatch"
+        assert sorted(self.trail) == [e for e in range(g.num_edges) if self.assignment[e] != FREE], (
+            "trail does not hold the fixed edges"
+        )
         for comp in (Z, W):
             edges = [e for e in range(g.num_edges) if self.assignment[e] == comp]
             assert len(edges) == self.counts[comp], "count mismatch"
@@ -549,11 +572,16 @@ class PartialState:
             assert length == n and len(pairs) == n, f"component {comp} holds a short cycle"
 
     def snapshot(self):
-        """Deep copy of all mutable search fields, for replay comparisons."""
-        return {
+        """Deep copy of all mutable search fields, for replay comparisons;
+        the trail as (edge, component, a, b) entries, see ``saved_a``."""
+        snap = {
             name: _frozen(getattr(self, name))
-            for name in ("assignment", "counts", "trail", "invalid", "deg", "pend", "placed")
+            for name in ("assignment", "counts", "invalid", "deg", "pend", "placed")
         }
+        snap["trail"] = tuple(
+            (e, self.assignment[e], self.saved_a[e], self.saved_b[e]) for e in self.trail
+        )
+        return snap
 
 
 def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> FixOutcome:
@@ -567,9 +595,10 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     cascade is linear: each edge is fixed at most once.
 
     Each forced fix is ``fix_edge`` written out in place, with the same checks
-    in the same order and the same trail entry, so the cascade pays no call
-    per edge. A directed fix fills both of its ports, and each port holds one
-    other arc, so that sibling is pushed directly: the out-port's first.
+    in the same order, the same trail entry and the same saved ends, so the
+    cascade pays no call per edge. A directed fix fills both of its ports, and
+    each port holds one other arc, so that sibling is pushed directly: the
+    out-port's first.
     """
     assignment = state.assignment
     if assignment[e] != FREE:
@@ -581,6 +610,8 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     pends = state.pend
     counts = state.counts
     push_trail = state.trail.append
+    saved_a = state.saved_a
+    saved_b = state.saved_b
     capacity = state.capacity
     directed = state.directed
     n = state.n
@@ -617,13 +648,15 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
                 r = CLOSES_NON_HAM_CYCLE
                 break
             counts[c] = cnt
-            push_trail((f, c, 0, 0))
+            saved_a[f] = saved_b[f] = 0
             r = COMPLETES_COMPONENT
         else:
             counts[c] += 1
-            push_trail((f, c, eu, ev))
+            saved_a[f] = eu
+            saved_b[f] = ev
             pend[eu] = ev
             pend[ev] = eu
+        push_trail(f)
         assignment[f] = c
         deg[u] = du
         deg[v] = dv

@@ -36,6 +36,6 @@ def scripted_roundtrip(g, seed, steps=60):
 
 def _assert_equals_replay(g, state):
     fresh = PartialState(g)
-    for e, comp, _, _ in state.trail:
-        fresh.fix_edge(e, comp)
+    for e in state.trail:
+        fresh.fix_edge(e, state.assignment[e])
     assert fresh.snapshot() == state.snapshot()

@@ -26,7 +26,7 @@ from test_state import edge_id
 
 
 def trail_moves(state, g, start=0):
-    return [(g.endpoints(e), comp) for e, comp, _, _ in state.trail[start:]]
+    return [(g.endpoints(e), state.assignment[e]) for e in state.trail[start:]]
 
 
 def test_directed_cascade_order(rigid6_union):

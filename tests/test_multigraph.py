@@ -129,6 +129,12 @@ def test_union_is_regular(pair):
     else:
         assert all(len(g.inc[v]) == 4 for v in range(1, n + 1))
         assert g.inc is g.ports
+    # edge ids follow x's traversal, then y's
+    assert tuple(zip(g.tails, g.heads)) == (*x.edge_pairs(), *y.edge_pairs())
+    if x.mode is Mode.DIRECTED:
+        assert g.head_port == tuple(n + v for v in g.heads)
+    else:
+        assert g.head_port == g.heads
     # every port lists, in ascending id, the edges with an end at it
     assert g.ports[0] == ()
     assert g.ports[1:] == tuple(
@@ -162,8 +168,23 @@ def _setdefault_parallel_pairs(g):
     return sorted(tuple(ids) for ids in by_pair.values() if len(ids) == 2)
 
 
-@given(cycle_pairs(max_n=14), st.booleans())
-def test_parallel_pairs_match_grouping_by_pair(pair, doubled):
+@given(cycle_pairs(max_n=14),
+       st.sampled_from(["pair", "doubled", "swapped", "reversed", "rotated"]),
+       st.integers(1, 13))
+def test_parallel_pairs_match_grouping_by_pair(pair, kind, k):
+    """Beyond random pairs: x with itself, where a pair's ids are a and
+    a + n; the swapped pair; and x with x rotated by k, which doubles every
+    edge, or with x reversed, which doubles every undirected edge and no
+    directed one, so that the ids of a pair are not aligned."""
     x, y = pair
-    g = build_union(x, x if doubled else y)
+    vs = x.vertices
+    k %= x.n
+    first, second = {
+        "pair": (x, y),
+        "doubled": (x, x),
+        "swapped": (y, x),
+        "reversed": (x, HamCycle(vs[::-1], x.mode)),
+        "rotated": (x, HamCycle(vs[k:] + vs[:k], x.mode)),
+    }[kind]
+    g = build_union(first, second)
     assert parallel_edge_pairs(g) == _setdefault_parallel_pairs(g)

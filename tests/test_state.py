@@ -366,6 +366,21 @@ def test_placed_view_syncs_with_the_trail(pair, seed):
     read()
 
 
+def test_placed_view_after_an_edge_returns_to_its_position(feasible6_union):
+    """Trail entries are edge ids, so after an undo the same edge can sit at
+    the same trail position again; the read must still see that the entry
+    before it changed. Edges 0 (1-2), 2 (3-4) and 4 (5-6) share no vertex."""
+    state = PartialState(feasible6_union)
+    assert state.fix_edge(0, Z) is OK
+    assert state.fix_edge(2, Z) is OK
+    assert list(state.placed) == _expected_placed(state)
+    state.undo_to(0)
+    assert state.fix_edge(4, Z) is OK
+    assert state.fix_edge(2, Z) is OK
+    assert state.trail == [4, 2]
+    assert list(state.placed) == _expected_placed(state)
+
+
 def test_snapshot_does_not_alias_the_placed_view(feasible6_union):
     state = PartialState(feasible6_union)
     assert state.fix_edge(0, Z) is OK
@@ -401,6 +416,13 @@ def test_full_scan_catches_drifted_directed_in_port_degree(directed_partial_stat
     directed_partial_state.deg[Z][6 + 3] = 0  # the in-port that 2->3 fills
     with pytest.raises(AssertionError, match="degree counters"):
         directed_partial_state.check_invariants()
+
+
+def test_full_scan_catches_a_trail_entry_of_a_free_edge(directed_partial_state):
+    state = directed_partial_state
+    state.trail[-1] = state.assignment.index(FREE)
+    with pytest.raises(AssertionError, match="trail does not hold"):
+        state.check_invariants()
 
 
 def _unreachable_after(call):
@@ -491,7 +513,7 @@ def test_graph_of_other_cycles_rejected(mode, entry):
     for x, y in ((a.x, b.y), (b.x, a.y), (a.y, a.x), (b.x, b.y)):
         with pytest.raises(MismatchedInstancesError):
             entry(g, x, y)
-    bare = UnionMultigraph(g.n, g.mode, g.tails, g.heads)
+    bare = UnionMultigraph(g.n, g.mode, g.tails, g.heads, g.head_port, g.ports, None)
     with pytest.raises(MismatchedInstancesError):
         entry(bare, a.x, a.y)
     # equal cycles that are other objects are the same pair
