@@ -11,7 +11,6 @@ from hamdecomp import (
     Mode,
     build_union,
     cycle_edge_multiset,
-    multiset_equals,
     parallel_edge_pairs,
 )
 
@@ -33,6 +32,6 @@ for lo, hi in pairs:
 print("\nedge multisets distinguish cycles only up to traversal:")
 same = HamCycle((1, 6, 5, 4, 3, 2), Mode.UNDIRECTED)  # x read backwards
 print(f"  x vs reversed x: equal = "
-      f"{multiset_equals(cycle_edge_multiset(x), cycle_edge_multiset(same))}")
+      f"{cycle_edge_multiset(x) == cycle_edge_multiset(same)}")
 print(f"  x vs y:          equal = "
-      f"{multiset_equals(cycle_edge_multiset(x), cycle_edge_multiset(y))}")
+      f"{cycle_edge_multiset(x) == cycle_edge_multiset(y)}")

@@ -35,13 +35,11 @@ from .instances import (
     write_instance,
 )
 from .multigraph import (
-    EdgeMultiset,
     HamCycle,
     Mode,
     UnionMultigraph,
     build_union,
     cycle_edge_multiset,
-    multiset_equals,
     parallel_edge_pairs,
 )
 from .oracle import DecompositionSet, enumerate_decompositions, second_decomposition_exists
@@ -49,13 +47,12 @@ from .result import SolveResult, SolveStats, SolveStatus
 from .state import FREE, W, Z, FixOutcome, PartialState, SolveLimits
 from .verify import decomposition_problems, is_valid_decomposition
 
-# chain_fix, preprocess_parallel, select_branch_edge, FREE and multiset_equals
-# are engine internals: importable by name, but not part of the public API.
+# chain_fix, preprocess_parallel, select_branch_edge and FREE are engine
+# internals: importable by name, but not part of the public API.
 __all__ = [
     "AlreadyFixedError",
     "Certificate",
     "DecompositionSet",
-    "EdgeMultiset",
     "FixOutcome",
     "HamCycle",
     "HamdecompError",

@@ -8,9 +8,9 @@ out-port and j's in-port, so i's other out-arc and j's other in-arc go to the
 opposite component. Cascades run breadth-first off a work queue, touch each
 edge at most once, and leave all performed fixes on the trail so the caller
 can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
-``state.py`` next to ``fix_edge``, whose checks it performs in place; a
-directed fix pushes the one sibling arc at each of its two ports directly.
-It is imported here, so ``bcef.chain_fix`` names it too. Only the choice of
+``state.py`` next to ``fix_edge``, whose checks it performs in place; one
+push step, the free edges at each port a fix filled, serves both modes. It
+is imported here, so ``bcef.chain_fix`` names it too. Only the choice of
 the branch vertex differs by mode; its candidates are the free edges at its
 port, which for a directed vertex is its out-port.
 

@@ -166,6 +166,19 @@ def _bench_row(task):
     }
 
 
+def _bench_rows(tasks, jobs):
+    """The tasks' rows in task order, solved in this process when ``jobs`` is
+    1 and in that many worker processes otherwise."""
+    if jobs == 1:
+        yield from map(_bench_row, tasks)
+        return
+    # imported here: it loads multiprocessing, which every importer would pay for
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_bench_row, tasks)
+
+
 def _parse_list(raw, allowed, what):
     values = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not values:
@@ -207,23 +220,11 @@ def _cmd_bench(args) -> int:
         out.flush()
     rows = []
     try:
-        if args.jobs > 1:
-            # imported here: it loads multiprocessing, which every importer would pay for
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for row in pool.map(_bench_row, tasks):
-                    rows.append(row)
-                    if writer:
-                        writer.writerow(row)
-                        out.flush()
-        else:
-            for task in tasks:
-                row = _bench_row(task)
-                rows.append(row)
-                if writer:
-                    writer.writerow(row)
-                    out.flush()
+        for row in _bench_rows(tasks, args.jobs):
+            rows.append(row)
+            if writer:
+                writer.writerow(row)
+                out.flush()
     except KeyboardInterrupt:
         # keep whatever completed; the CSV is already flushed row by row
         print(f"interrupted after {len(rows)} of {len(tasks)} runs", file=sys.stderr)

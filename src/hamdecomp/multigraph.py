@@ -53,14 +53,6 @@ class HamCycle:
                 yield (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class EdgeMultiset:
-    """Multiplicity map over normalized endpoint pairs of one mode."""
-
-    mode: Mode
-    counts: Counter
-
-
 class UnionMultigraph:
     """Immutable union of two Hamiltonian cycles with per-edge identities.
 
@@ -104,9 +96,6 @@ class UnionMultigraph:
 
     def endpoints(self, e) -> tuple[int, int]:
         return self.tails[e], self.heads[e]
-
-    def edge_multiset(self) -> EdgeMultiset:
-        return EdgeMultiset(self.mode, Counter(zip(self.tails, self.heads)))
 
 
 def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
@@ -172,12 +161,7 @@ def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:
             for b in ports[t][first_y:] if heads[b] == h]
 
 
-def cycle_edge_multiset(c: HamCycle) -> EdgeMultiset:
-    """The n-edge multiset of a cycle, endpoint pairs normalized per mode."""
-    return EdgeMultiset(c.mode, Counter(c.edge_pairs()))
-
-
-def multiset_equals(a: EdgeMultiset, b: EdgeMultiset) -> bool:
-    if a.mode is not b.mode:
-        raise MismatchedInstancesError(f"mode mismatch: {a.mode.value} vs {b.mode.value}")
-    return a.counts == b.counts
+def cycle_edge_multiset(c: HamCycle) -> Counter:
+    """The n-edge multiset of a cycle: counts of its endpoint pairs, normalized
+    per mode."""
+    return Counter(c.edge_pairs())

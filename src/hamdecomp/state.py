@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AlreadyFixedError, InvalidMarkError, MismatchedInstancesError, NotCompleteError
-from .multigraph import EdgeMultiset, HamCycle, Mode, UnionMultigraph
+from .multigraph import HamCycle, Mode, UnionMultigraph
 from .result import SolveResult, SolveStats, SolveStatus
 
 FREE = -1
@@ -383,20 +383,6 @@ class PartialState:
 
     # -- queries --------------------------------------------------------
 
-    def free_degree(self, v: int) -> int:
-        """Incident edges of v still free (directed: free out- plus in-arcs)."""
-        if self.directed:
-            return self.free_out_degree(v) + self.free_in_degree(v)
-        return 4 - self.placed[v]
-
-    def free_out_degree(self, v: int) -> int:
-        """Directed: free arcs at v's out-port."""
-        return 2 - self.deg[Z][v] - self.deg[W][v]
-
-    def free_in_degree(self, v: int) -> int:
-        """Directed: free arcs at v's in-port."""
-        return 2 - self.deg[Z][self.n + v] - self.deg[W][self.n + v]
-
     def is_complete(self) -> bool:
         """Both components hold n edges; with the degree and cycle guards that
         is equivalent to both being Hamiltonian cycles."""
@@ -410,6 +396,7 @@ class PartialState:
             for e in range(self.g.num_edges)
             if self.assignment[e] == comp
         ]
+
     def extract_decomposition(self) -> tuple[HamCycle, HamCycle]:
         """The two completed cycles as canonical vertex sequences from vertex 1.
 
@@ -421,35 +408,29 @@ class PartialState:
         return self._extract(Z), self._extract(W)
 
     def _extract(self, comp):
-        n = self.n
-        if self.directed:
-            nxt = [0] * (n + 1)
-            for e in range(self.g.num_edges):
-                if self.assignment[e] == comp:
-                    nxt[self.g.tails[e]] = self.g.heads[e]
-            seq = [1]
-            v = nxt[1]
-            while v != 1:
-                seq.append(v)
-                v = nxt[v]
-            return HamCycle(tuple(seq), Mode.DIRECTED)
-        adj = [[] for _ in range(n + 1)]
-        for u, v in self.component_pairs(comp):
-            adj[u].append(v)
-            adj[v].append(u)
-        seq = [1, min(adj[1])]
-        prev, cur = 1, seq[1]
-        while True:
-            a, b = adj[cur]
-            nxt = b if a == prev else a
-            if nxt == 1:
-                break
-            seq.append(nxt)
-            prev, cur = cur, nxt
-        return HamCycle(tuple(seq), Mode.UNDIRECTED)
+        g = self.g
+        tails = g.tails
+        heads = g.heads
+        ports = g.ports
+        assignment = self.assignment
+        # Each vertex's port holds two edges of the component when undirected,
+        # and directed its one out-arc; the far end of e from v is
+        # tails[e] + heads[e] - v.
+        e = min((f for f in ports[1] if assignment[f] == comp), key=lambda f: tails[f] + heads[f])
+        seq = [1]
+        v = tails[e] + heads[e] - 1
+        while v != 1:
+            seq.append(v)
+            for f in ports[v]:
+                if f != e and assignment[f] == comp:
+                    break
+            e = f
+            v = tails[e] + heads[e] - v
+        return HamCycle(tuple(seq), g.mode)
 
-    def differs_from_inputs(self, x_ms: EdgeMultiset, y_ms: EdgeMultiset) -> bool:
-        """True iff component Z's edge multiset differs from both inputs.
+    def differs_from_inputs(self, x_ms: Counter, y_ms: Counter) -> bool:
+        """True iff component Z's edge multiset differs from both inputs,
+        given as counts of endpoint pairs (``cycle_edge_multiset``).
 
         Checking Z alone suffices: W is the exact multiset complement of Z in
         the union, so Z = x forces W = y and vice versa.
@@ -457,7 +438,7 @@ class PartialState:
         if not self.is_complete():
             raise NotCompleteError("difference check needs a complete state")
         z_counts = Counter(self.component_pairs(Z))
-        return z_counts != x_ms.counts and z_counts != y_ms.counts
+        return z_counts != x_ms and z_counts != y_ms
 
     def differs_from_cycles(self) -> bool:
         """``differs_from_inputs`` for the cycles g was built from, by edge id.
@@ -596,9 +577,9 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
 
     Each forced fix is ``fix_edge`` written out in place, with the same checks
     in the same order, the same trail entry and the same saved ends, so the
-    cascade pays no call per edge. A directed fix fills both of its ports, and
-    each port holds one other arc, so that sibling is pushed directly: the
-    out-port's first.
+    cascade pays no call per edge. One push step serves both modes: the free
+    edges at each port the fix filled, the tail's port first. A directed fix
+    fills both of its ports, and the one free arc left at each is its sibling.
     """
     assignment = state.assignment
     if assignment[e] != FREE:
@@ -613,7 +594,6 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     saved_a = state.saved_a
     saved_b = state.saved_b
     capacity = state.capacity
-    directed = state.directed
     n = state.n
     queue = [e, comp]  # pending fixes, flat: edge, component, edge, ...
     push = queue.append
@@ -662,29 +642,16 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
         deg[v] = dv
         fixed += 1
         o = 1 - c
-        if directed:
-            # f filled both of its ports; each holds one other arc
-            p, q = ports[u]
-            s = p + q - f
-            if assignment[s] == FREE:
-                push(s)
-                push(o)
-            p, q = ports[v]
-            s = p + q - f
-            if assignment[s] == FREE:
-                push(s)
-                push(o)
-        else:
-            if du == 2:
-                for s in ports[u]:
-                    if assignment[s] == FREE:
-                        push(s)
-                        push(o)
-            if dv == 2:
-                for s in ports[v]:
-                    if assignment[s] == FREE:
-                        push(s)
-                        push(o)
+        if du == capacity:
+            for s in ports[u]:
+                if assignment[s] == FREE:
+                    push(s)
+                    push(o)
+        if dv == capacity:
+            for s in ports[v]:
+                if assignment[s] == FREE:
+                    push(s)
+                    push(o)
     state.edges_fixed += fixed
     if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
         state.invalid = True

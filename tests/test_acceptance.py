@@ -143,11 +143,13 @@ def test_criterion_5_desk_scale_performance():
 def test_criterion_6_algorithm_ranking():
     """Chain fixing must beat path extension on the undirected n=256 suite.
 
-    Path-extension runs are capped at 2 s wall each. Every capped run
+    Path-extension runs are capped at 0.1 s wall each. Every capped run
     contributes at least its cap to the measured total, so the measured total
     is a lower bound on the true one: proving bcef_total < measured_bsp_total
-    proves the uncapped ordering a fortiori.
+    proves the uncapped ordering a fortiori, and a smaller cap only makes the
+    comparison harder to pass.
     """
+    cap = 0.1
     bcef_total = 0.0
     bsp_total = 0.0
     capped = 0
@@ -158,13 +160,13 @@ def test_criterion_6_algorithm_ranking():
         solve_bcef(g, inst.x, inst.y)
         bcef_total += time.perf_counter() - t0
         t0 = time.perf_counter()
-        r = solve_bsp(g, inst.x, inst.y, SolveLimits(time_budget=2.0))
+        r = solve_bsp(g, inst.x, inst.y, SolveLimits(time_budget=cap))
         bsp_total += time.perf_counter() - t0
         if r.status is SolveStatus.TIMED_OUT:
             capped += 1
     report(6, "algorithm ranking", bcef_total < bsp_total,
            f"bcef {bcef_total:.1f}s < bsp >= {bsp_total:.1f}s "
-           f"({capped} runs capped at 2s)")
+           f"({capped} runs capped at {cap}s)")
 
 
 def test_criterion_7_propagation_closure_and_undo():

@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -81,15 +82,17 @@ def test_extension_overloading_w(partial_state, feasible6_union):
 
 def test_free_degree_in_partial_state(partial_state):
     # edges (6,1), (6,2), (6,4) are still free at vertex 6
-    assert partial_state.free_degree(6) == 3
+    assert 4 - partial_state.placed[6] == 3
+    assert 4 - partial_state.deg[Z][6] - partial_state.deg[W][6] == 3
 
 
 def test_free_degrees_on_empty_states(feasible6_union, rigid6_union):
     undirected = PartialState(feasible6_union)
-    assert all(undirected.free_degree(v) == 4 for v in range(1, 7))
+    assert all(4 - undirected.placed[v] == 4 for v in range(1, 7))
     directed = PartialState(rigid6_union)
-    assert all(directed.free_out_degree(v) == 2 for v in range(1, 7))
-    assert all(directed.free_in_degree(v) == 2 for v in range(1, 7))
+    # vertex v's out-port is v and its in-port n + v
+    assert all(2 - directed.deg[Z][v] - directed.deg[W][v] == 2 for v in range(1, 7))
+    assert all(2 - directed.deg[Z][6 + v] - directed.deg[W][6 + v] == 2 for v in range(1, 7))
 
 
 def test_single_edge_fix_is_ok(feasible6_union):
@@ -474,7 +477,8 @@ def _complete_states(state, g, e=0):
 @pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
 def test_edge_id_acceptance_matches_multisets(mode):
     """On every complete state of an exhaustive search, judging Z by edge ids
-    agrees with comparing its endpoint multiset against both inputs."""
+    agrees with comparing its endpoint multiset against both inputs, and each
+    extracted cycle is its component read from vertex 1."""
     judged = 0
     differing = 0
     for n in range(3, 9):
@@ -488,6 +492,12 @@ def test_edge_id_acceptance_matches_multisets(mode):
             for _ in _complete_states(state, g):
                 expected = state.differs_from_inputs(x_ms, y_ms)
                 assert state.differs_from_cycles() == expected
+                for comp, c in zip((Z, W), state.extract_decomposition()):
+                    pairs = state.component_pairs(comp)
+                    assert c.vertices[0] == 1
+                    if mode is Mode.UNDIRECTED:
+                        assert c.vertices[1] == min(u + v - 1 for u, v in pairs if 1 in (u, v))
+                    assert Counter(c.edge_pairs()) == Counter(pairs)
                 judged += 1
                 differing += expected
     # both answers occur, so neither constant passes
