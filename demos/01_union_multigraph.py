@@ -21,8 +21,9 @@ g = build_union(x, y)
 print(f"union of x={x.vertices} and y={y.vertices}")
 print(f"  {g.num_edges} edges on {g.n} vertices")
 for v in range(1, g.n + 1):
-    incident = ", ".join(f"e{e}={g.endpoints(e)}" for e in g.inc[v])
-    print(f"  vertex {v} (degree {len(g.inc[v])}): {incident}")
+    # an undirected vertex is one port, listing every edge with an end there
+    incident = ", ".join(f"e{e}={g.endpoints(e)}" for e in g.ports[v])
+    print(f"  vertex {v} (degree {len(g.ports[v])}): {incident}")
 
 pairs = parallel_edge_pairs(g)
 print(f"\nparallel copies: {pairs}")

@@ -10,9 +10,9 @@ edge at most once, and leave all performed fixes on the trail so the caller
 can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
 ``state.py`` next to ``fix_edge``, whose checks it performs in place; one
 push step, the free edges at each port a fix filled, serves both modes. It
-is imported here, so ``bcef.chain_fix`` names it too. Only the choice of
-the branch vertex differs by mode; its candidates are the free edges at its
-port, which for a directed vertex is its out-port.
+is imported here, so ``bcef.chain_fix`` names it too. The branch vertex,
+``select_branch_edge``, is one rule for both modes too; its candidates are
+the free edges at its port, which for a directed vertex is its out-port.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -22,7 +22,7 @@ node; one already in w is skipped.
 
 from __future__ import annotations
 
-from .multigraph import HamCycle, Mode, UnionMultigraph, parallel_edge_pairs
+from .multigraph import HamCycle, UnionMultigraph, parallel_edge_pairs
 from .result import SolveResult
 from .state import (
     CLOSES_NON_HAM_CYCLE,
@@ -87,41 +87,22 @@ def preprocess_parallel(state: PartialState, g: UnionMultigraph,
 def select_branch_edge(state: PartialState, g: UnionMultigraph):
     """Pick the branch vertex and its ordered candidate edges, or None.
 
-    Directed: the vertex with free out-arcs whose incident fixed-arc count is
-    maximal, so a decision propagates from both endpoints at once; candidates
-    ascend by head vertex. Undirected: the vertex with the minimum nonzero
-    free degree; candidates ascend by the neighbor's free degree. Ties break
-    toward lower vertex and edge ids.
+    One rule serves both modes. ``state.placed`` counts each vertex's fixed
+    edge ends, an end at its branch port (undirected its one port, directed
+    its out-port, where the candidates sit) as ``2 // capacity`` and any
+    other as 1. ``bytearray.find``, a C memchr, looks for the counts 3, 2, 1
+    and 0 in turn and returns the lowest vertex with the first one present;
+    slot 0 holds 4, so it is never chosen. Candidates are the branch port's
+    free edges, ascending by the fixed edges at the far end's port, then by
+    far vertex and edge id.
 
-    The undirected vertex is found without a Python loop over the vertices:
-    ``state.placed`` holds one byte per vertex counting its fixed edges, and
-    ``bytearray.find``, a C memchr, looks for the counts 3, 2, 1 and 0 in
-    turn. The first count present is the largest short of 4, that is the
-    minimum nonzero free degree, and ``find`` returns its lowest vertex,
-    which keeps the tie-break. Slot 0 holds 4, so it is never chosen.
+    The state must be closed by a full cascade, as the search's are: then
+    every directed port holds 0 or 2 fixed arcs, and a free arc's in-port 0.
+    So undirected, the vertex has the minimum nonzero free degree; directed,
+    the most fixed arcs among those whose out-port is not full, so a decision
+    propagates from both endpoints at once, and candidates ascend by head.
+    A lone ``fix_edge`` leaves an open state, where the choice may differ.
     """
-    n = g.n
-    assignment = state.assignment
-    degz, degw = state.deg
-    if g.mode is Mode.DIRECTED:
-        idegz = degz[n:]  # in-port counts: index v is port n + v
-        idegw = degw[n:]
-        best = 0
-        best_fixed = -1
-        for v in range(1, n + 1):
-            fixed = degz[v] + degw[v]  # at the out-port
-            if fixed == 2:
-                continue
-            fixed += idegz[v] + idegw[v]
-            if fixed > best_fixed:
-                best = v
-                best_fixed = fixed
-        if not best:
-            return None
-        cands = sorted(
-            (g.heads[e], e) for e in g.ports[best] if assignment[e] == FREE
-        )
-        return best, [e for _, e in cands]
     find = state.placed.find
     for c in (3, 2, 1, 0):
         best = find(c)
@@ -129,13 +110,20 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
             break
     else:
         return None
+    assignment = state.assignment
+    degz, degw = state.deg
     tails = g.tails
     heads = g.heads
+    head_port = g.head_port
     cands = []
     for e in g.ports[best]:
         if assignment[e] == FREE:
-            k = heads[e] if tails[e] == best else tails[e]
-            cands.append((4 - degz[k] - degw[k], k, e))
+            if tails[e] == best:
+                k = heads[e]
+                kp = head_port[e]
+            else:
+                k = kp = tails[e]
+            cands.append((-degz[kp] - degw[kp], k, e))
     cands.sort()
     return best, [e for _, _, e in cands]
 

@@ -38,9 +38,9 @@ def _moves(state):
     capacity = state.capacity
     degz, degw = state.deg
     # z is one path from vertex 1, and ends[root] is its head: the path's
-    # open port at vertex 1 is vertex 1's in-port when directed
+    # open port at vertex 1, its in-port when directed, is paired with port 1
     ends = state.pend[Z]
-    root = g.n + 1 if state.directed else 1
+    root = ends[1]
 
     def to_w(edges):
         for f in edges:

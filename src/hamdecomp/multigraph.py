@@ -65,14 +65,11 @@ class UnionMultigraph:
     head at in-port n + v, one arc of each component per port. ``ports``
     lists the edges at each port (index 0 is empty) and ``head_port`` the
     port of each edge's head; edge e joins ports ``tails[e]`` and
-    ``head_port[e]``. ``inc`` (undirected) and ``out_inc``/``in_inc``
-    (directed) are per-vertex views of ``ports``. ``build_union`` makes
-    every table; ``cycles`` is the pair it built them from, and None marks a
-    graph of no known pair.
+    ``head_port[e]``. ``build_union`` makes every table; ``cycles`` is the
+    pair it built them from, and None marks a graph of no known pair.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "inc", "out_inc", "in_inc", "ports", "head_port",
-                 "cycles")
+    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles")
 
     def __init__(self, n, mode, tails, heads, head_port, ports, cycles):
         self.n = n
@@ -82,13 +79,6 @@ class UnionMultigraph:
         self.head_port = head_port
         self.ports = ports
         self.cycles = cycles
-        if mode is Mode.DIRECTED:
-            self.inc = None
-            self.out_inc = ports[:n + 1]
-            self.in_inc = ((),) + ports[n + 1:]
-        else:
-            self.inc = ports
-            self.out_inc = self.in_inc = None
 
     @property
     def num_edges(self) -> int:

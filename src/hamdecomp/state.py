@@ -217,10 +217,13 @@ class PartialState:
       deg         -- per component, fixed edges at each port
       pend        -- per component, the open port at the other end of the
                      path that ends at a port (kept only at path ends)
-      placed      -- undirected: a bytearray of the edges fixed at each
-                     vertex, both components together; slot 0, no vertex,
-                     holds 4 so it reads as saturated (None when directed).
-                     It is a view synced from the trail when read, not kept
+      placed      -- a bytearray of the fixed edge ends at each vertex, both
+                     components together: an end at the vertex's branch
+                     port, where bcef's candidates sit (undirected its one
+                     port, directed its out-port), counts ``2 // capacity``,
+                     any other end 1. Slot 0, no vertex, holds 4 so it reads
+                     as saturated. It is a view synced from the trail when
+                     read, not kept
                      by ``fix_edge`` and ``undo_to``: a read costs the trail
                      entries pushed or popped since the last one, and fixes
                      made and undone between two reads are never counted.
@@ -251,20 +254,16 @@ class PartialState:
         if self.directed:
             ends = [0, *range(n + 1, size), *range(1, n + 1)]
             self.capacity = 1
-            self._placed = None
         else:
             ends = list(range(size))
             self.capacity = 2
-            # the counts, and the trail entries they count
-            self._placed = (bytearray([4]) + bytearray(n), [])
         self.pend = (ends, ends[:])
+        # the counts, and the trail entries they count
+        self._placed = (bytearray([4]) + bytearray(n), [])
 
     @property
     def placed(self):
-        view = self._placed
-        if view is None:
-            return None
-        placed, counted = view
+        placed, counted = self._placed
         trail = self.trail
         # Entries are only pushed and popped at the end of the trail, so the
         # counted entries still on it are the prefix that no undo has reached.
@@ -273,13 +272,14 @@ class PartialState:
         k = self._synced
         if k != len(counted) or k != len(trail):
             tails = self.g.tails
-            heads = self.g.head_port
+            heads = self.g.heads
+            unit = 2 // self.capacity  # an end at the tail's port, the branch port
             for e in counted[k:]:
-                placed[tails[e]] -= 1
+                placed[tails[e]] -= unit
                 placed[heads[e]] -= 1
             pushed = trail[k:]
             for e in pushed:
-                placed[tails[e]] += 1
+                placed[tails[e]] += unit
                 placed[heads[e]] += 1
             counted[k:] = pushed
             self._synced = len(trail)
@@ -501,12 +501,12 @@ class PartialState:
             assert deg == self.deg[comp], "degree counters drifted"
             assert max(deg) <= self.capacity, "degree bound violated"
             self._check_structure(comp, [(g.tails[e], g.heads[e]) for e in edges])
-        placed = self.placed
-        if placed is not None:
-            degz, degw = self.deg
-            assert list(placed) == [4] + [degz[v] + degw[v] for v in range(1, n + 1)], (
-                "placed-edge counters drifted"
-            )
+        placed = [4] + [0] * n
+        unit = 2 // self.capacity
+        for e in self.trail:
+            placed[g.tails[e]] += unit
+            placed[g.heads[e]] += 1
+        assert list(self.placed) == placed, "placed-edge counters drifted"
 
     def _check_structure(self, comp, pairs):
         # The fixed subgraph must be vertex-disjoint simple paths, or one

@@ -141,11 +141,16 @@ def test_select_prefers_minimum_free_degree(feasible6_union):
 
 
 def test_select_directed_prefers_fixed_incidence(rigid6_union):
+    # Selection is defined on states a cascade has closed: fixing one copy
+    # of the doubled arc (2,3) forces the other, which fills vertex 2's
+    # out-port and vertex 3's in-port and leaves every other arc free.
     g = rigid6_union
     state = PartialState(g)
-    state.fix_edge(edge_id(g, 6, 2), Z)  # vertex 2 gains a fixed in-arc
-    v, _ = select_branch_edge(state, g)
-    assert v == 2
+    assert chain_fix(state, edge_id(g, 2, 3), Z, g) is OK
+    assert state.counts == [1, 1]
+    # vertex 3 has two fixed in-arcs and a free out-port, so it beats vertex
+    # 1, which has no fixed arcs; its out-arcs ascend by head
+    assert select_branch_edge(state, g) == (3, [edge_id(g, 3, 4), edge_id(g, 3, 5)])
 
 
 def test_select_none_when_everything_fixed(rigid6_union):

@@ -31,7 +31,7 @@ def test_cycle_rejects_repeats_and_gaps():
 def test_union_of_showcase_instance(feasible6, feasible6_union):
     g = feasible6_union
     assert g.num_edges == 12
-    assert all(len(g.inc[v]) == 4 for v in range(1, 7))
+    assert all(len(g.ports[v]) == 4 for v in range(1, 7))
     counts = Counter(zip(g.tails, g.heads))
     assert counts[(2, 3)] == 2
 
@@ -46,8 +46,9 @@ def test_union_doubles_every_edge_for_identical_inputs():
 
 def test_union_directed_regularity(rigid6_union):
     g = rigid6_union
-    assert all(len(g.out_inc[v]) == 2 for v in range(1, 7))
-    assert all(len(g.in_inc[v]) == 2 for v in range(1, 7))
+    # out-port v and in-port 6 + v
+    assert all(len(g.ports[v]) == 2 for v in range(1, 7))
+    assert all(len(g.ports[6 + v]) == 2 for v in range(1, 7))
     counts = Counter(zip(g.tails, g.heads))
     assert counts[(2, 3)] == 2
 
@@ -110,17 +111,15 @@ def test_union_is_regular(pair):
     g = build_union(x, y)
     assert g.num_edges == 2 * n
     if x.mode is Mode.DIRECTED:
-        assert all(len(g.out_inc[v]) == 2 for v in range(1, n + 1))
-        assert all(len(g.in_inc[v]) == 2 for v in range(1, n + 1))
-        # the per-vertex tables are views of the one port table
-        assert g.out_inc == g.ports[:n + 1]
-        assert g.in_inc == ((),) + g.ports[n + 1:]
-        assert g.in_inc[1:] == tuple(
+        assert len(g.ports) == 2 * n + 1
+        assert all(len(g.ports[v]) == 2 for v in range(1, 2 * n + 1))
+        # in-port n + v lists exactly the arcs arriving at v
+        assert g.ports[n + 1:] == tuple(
             tuple(e for e in range(2 * n) if g.heads[e] == v) for v in range(1, n + 1)
         )
     else:
-        assert all(len(g.inc[v]) == 4 for v in range(1, n + 1))
-        assert g.inc is g.ports
+        assert len(g.ports) == n + 1
+        assert all(len(g.ports[v]) == 4 for v in range(1, n + 1))
     # edge ids follow x's traversal, then y's
     assert tuple(zip(g.tails, g.heads)) == (*x.edge_pairs(), *y.edge_pairs())
     if x.mode is Mode.DIRECTED:

@@ -90,6 +90,7 @@ def test_free_degrees_on_empty_states(feasible6_union, rigid6_union):
     undirected = PartialState(feasible6_union)
     assert all(4 - undirected.placed[v] == 4 for v in range(1, 7))
     directed = PartialState(rigid6_union)
+    assert list(directed.placed) == [4, 0, 0, 0, 0, 0, 0]
     # vertex v's out-port is v and its in-port n + v
     assert all(2 - directed.deg[Z][v] - directed.deg[W][v] == 2 for v in range(1, 7))
     assert all(2 - directed.deg[Z][6 + v] - directed.deg[W][6 + v] == 2 for v in range(1, 7))
@@ -309,16 +310,30 @@ def test_limits_reject_nan_budgets(field):
         SolveLimits(**{field: math.nan})
 
 
-def test_full_scan_catches_drifted_placed_counter(partial_state):
-    partial_state.check_invariants()
-    partial_state.placed[6] += 1
+def _check_drifted_placed_counter_is_caught(state):
+    state.check_invariants()
+    state.placed[6] += 1
     with pytest.raises(AssertionError, match="placed"):
-        partial_state.check_invariants()
+        state.check_invariants()
+
+
+def test_full_scan_catches_drifted_placed_counter(partial_state):
+    _check_drifted_placed_counter_is_caught(partial_state)
+
+
+def test_full_scan_catches_drifted_directed_placed_counter(directed_partial_state):
+    _check_drifted_placed_counter_is_caught(directed_partial_state)
 
 
 def _expected_placed(state):
+    """Per vertex, both components' fixed ends: undirected at its one port;
+    directed, twice those at its out-port v plus those at its in-port n + v."""
     degz, degw = state.deg
-    return [4] + [degz[v] + degw[v] for v in range(1, state.n + 1)]
+    n = state.n
+    if state.directed:
+        return [4] + [2 * (degz[v] + degw[v]) + degz[n + v] + degw[n + v]
+                      for v in range(1, n + 1)]
+    return [4] + [degz[v] + degw[v] for v in range(1, n + 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,7 +341,17 @@ def _expected_placed(state):
 def test_placed_view_syncs_with_the_trail(pair, seed):
     """``placed`` is brought up to date from the trail only when read, so
     many pushes and pops pile up between reads; each read must still equal
-    the per-vertex sum of the two degree counters."""
+    the weighted per-vertex sum of the two degree counters."""
+    _walk_reading_placed(pair, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_pairs(min_n=4, max_n=14, mode=Mode.DIRECTED), st.integers(0, 2**32))
+def test_directed_placed_view_syncs_with_the_trail(pair, seed):
+    _walk_reading_placed(pair, seed)
+
+
+def _walk_reading_placed(pair, seed):
     import random
 
     x, y = pair
