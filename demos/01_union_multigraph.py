@@ -22,13 +22,13 @@ print(f"union of x={x.vertices} and y={y.vertices}")
 print(f"  {g.num_edges} edges on {g.n} vertices")
 for v in range(1, g.n + 1):
     # an undirected vertex is one port, listing every edge with an end there
-    incident = ", ".join(f"e{e}={g.endpoints(e)}" for e in g.ports[v])
+    incident = ", ".join(f"e{e}={(g.tails[e], g.heads[e])}" for e in g.ports[v])
     print(f"  vertex {v} (degree {len(g.ports[v])}): {incident}")
 
 pairs = parallel_edge_pairs(g)
 print(f"\nparallel copies: {pairs}")
 for lo, hi in pairs:
-    print(f"  edge ids {lo} and {hi} both cover {g.endpoints(lo)}")
+    print(f"  edge ids {lo} and {hi} both cover {(g.tails[lo], g.heads[lo])}")
 
 print("\nedge multisets distinguish cycles only up to traversal:")
 same = HamCycle((1, 6, 5, 4, 3, 2), Mode.UNDIRECTED)  # x read backwards

@@ -17,14 +17,14 @@ state = PartialState(g)
 preprocess_parallel(state, g)
 print("after preprocessing (parallel copies split):")
 for e in state.trail:
-    print(f"  arc {g.endpoints(e)} -> {'zw'[state.assignment[e]]}")
+    print(f"  arc {(g.tails[e], g.heads[e])} -> {'zw'[state.assignment[e]]}")
 
-e12 = next(e for e in range(g.num_edges) if g.endpoints(e) == (1, 2))
-mark = state.mark()
+e12 = next(e for e in range(g.num_edges) if (g.tails[e], g.heads[e]) == (1, 2))
+mark = len(state.trail)
 outcome = chain_fix(state, e12, Z, g)
 print(f"\nchain_fix((1,2) -> z) returned {outcome.name}; cascade order:")
 for e in state.trail[mark:]:
-    print(f"  arc {g.endpoints(e)} -> {'zw'[state.assignment[e]]}")
+    print(f"  arc {(g.tails[e], g.heads[e])} -> {'zw'[state.assignment[e]]}")
 
 z, w = state.extract_decomposition()
 print(f"\nforced decomposition: z={z.vertices}, w={w.vertices}")

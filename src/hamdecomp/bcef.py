@@ -17,7 +17,10 @@ the free edges at its port, which for a directed vertex is its out-port.
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
 is taken without a move and cannot be refuted, so its failure closes the
-node; one already in w is skipped.
+node; one already in w is skipped. The moves call ``chain_fix`` directly.
+The invariant scans, ``PartialState.check_invariants`` and
+``check_propagation_closure``, are never run by the search; tests run them
+after every cascade.
 """
 
 from __future__ import annotations
@@ -40,43 +43,25 @@ from .state import (
 )
 
 
-def preprocess_parallel(state: PartialState, g: UnionMultigraph,
-                        after_fix=None) -> FixOutcome:
+def preprocess_parallel(state: PartialState, g: UnionMultigraph) -> FixOutcome:
     """Split every parallel pair between the components, cascading each fix.
 
     Parallel copies can never share a Hamiltonian cycle, and because any
     decomposition puts one copy in each component, orienting the lower id
-    into Z is a pure naming convention that loses no solutions. Cascades from
-    earlier pairs may already have placed a copy; the partner is then forced
-    to the opposite component. ``after_fix`` runs after each successful
-    cascade (debug hook).
+    into Z is a pure naming convention that loses no solutions. Each pair's
+    two copies are taken lower id first, and a free copy goes to Z when its
+    partner is free too, else to the component opposite its partner, which a
+    cascade from an earlier pair or from the lower copy may have placed.
     """
-    def fix(edge, comp):
-        r = chain_fix(state, edge, comp, g)
-        if after_fix is not None and r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-            after_fix()
-        return r
-
+    assignment = state.assignment
     for lo, hi in parallel_edge_pairs(g):
-        a_lo = state.assignment[lo]
-        a_hi = state.assignment[hi]
-        if a_lo == FREE and a_hi == FREE:
-            r = fix(lo, Z)
-            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                return r
-            if state.assignment[hi] == FREE:
-                r = fix(hi, W)
+        for e, partner in ((lo, hi), (hi, lo)):
+            if assignment[e] == FREE:
+                a = assignment[partner]
+                r = chain_fix(state, e, Z if a == FREE else 1 - a, g)
                 if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
                     return r
-        elif a_lo == FREE:
-            r = fix(lo, 1 - a_hi)
-            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                return r
-        elif a_hi == FREE:
-            r = fix(hi, 1 - a_lo)
-            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                return r
-        elif a_lo == a_hi:
+        if assignment[lo] == assignment[hi]:
             # unreachable through the fix engine, which rejects same-component
             # copies as a two-edge cycle or a slot conflict; kept as a guard
             state.invalid = True
@@ -129,37 +114,22 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
 
 
 def solve_bcef(g: UnionMultigraph, x: HamCycle, y: HamCycle,
-               limits: SolveLimits = SolveLimits(),
-               validate: bool = False) -> SolveResult:
-    """Decide whether the union admits a second decomposition, by chain fixing.
-
-    ``validate`` runs a full-state invariant scan after every cascade; meant
-    for debug runs and tests.
-    """
-    return solve(g, x, y, limits, lambda state: _moves(state, validate))
+               limits: SolveLimits = SolveLimits()) -> SolveResult:
+    """Decide whether the union admits a second decomposition, by chain fixing."""
+    return solve(g, x, y, limits, _moves)
 
 
-def _moves(state, validate):
+def _moves(state):
     g = state.g
     assignment = state.assignment
 
-    def scan():
-        state.check_invariants()
-        check_propagation_closure(state, g)
-
-    def cascade(e, comp):
-        r = chain_fix(state, e, comp, g)
-        if validate and r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-            scan()
-        return r
-
     def start():
-        r = preprocess_parallel(state, g, after_fix=scan if validate else None)
+        r = preprocess_parallel(state, g)
         if r is not OK:
             return r  # failed, or already complete
         # The first free edge lands in one of the two cycles of any
         # decomposition; naming that cycle z makes the choice branch-free.
-        return cascade(assignment.index(FREE), Z)
+        return chain_fix(state, assignment.index(FREE), Z, g)
 
     def expand():
         if state.is_complete():
@@ -170,7 +140,7 @@ def _moves(state, validate):
     def take(e):
         a = assignment[e]
         if a == FREE:
-            r = cascade(e, Z)
+            r = chain_fix(state, e, Z, g)
             return OK if r is COMPLETES_COMPONENT else r
         # an earlier cascade placed e already: in z the child needs no move,
         # in w there is nothing to try
@@ -179,7 +149,7 @@ def _moves(state, validate):
     def refute(e):
         a = assignment[e]
         if a == FREE:
-            return cascade(e, W)
+            return chain_fix(state, e, W, g)
         # already placed: in w the alternative holds, in z it contradicts
         return OK if a == W else CONFLICT
 

@@ -9,8 +9,9 @@ is accepted only if z's edge multiset differs from both inputs.
 
 ``take(e)`` extends the path by e and sends the displaced edges to w; when e
 closes the path it flushes the rest to w and asks for the state to be judged.
-There is no ``refute``: after a failed edge the driver just tries the next
-candidate at the same path head.
+``refute(e)`` commits nothing and returns OK: the alternative to e as the
+next path edge is another candidate at the same path head, which the driver
+tries next.
 """
 
 from __future__ import annotations
@@ -98,4 +99,7 @@ def _moves(state):
             return COMPLETES_COMPONENT if r is OK else r
         return r
 
-    return start, expand, take, None
+    def refute(e):
+        return OK
+
+    return start, expand, take, refute

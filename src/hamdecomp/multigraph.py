@@ -84,9 +84,6 @@ class UnionMultigraph:
     def num_edges(self) -> int:
         return 2 * self.n
 
-    def endpoints(self, e) -> tuple[int, int]:
-        return self.tails[e], self.heads[e]
-
 
 def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
     """Build the union multigraph of x and y; shared edges appear as two parallel copies.

@@ -12,8 +12,10 @@ keeps as ``capacity``.
 
 Both solvers also share the search itself: ``solve`` sets up a run and
 ``backtrack`` is the one depth-first driver, to which a solver supplies only
-its moves. The chain-fixing cascade, ``chain_fix``, lives here too, because it
-writes its forced fixes into the state's fields directly.
+its moves, the same four for both: ``start``, ``expand``, ``take`` and
+``refute``. The driver refutes every failed move and judges every complete
+state by edge id. The chain-fixing cascade, ``chain_fix``, lives here too,
+because it writes its forced fixes into the state's fields directly.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
     stats = SolveStats()
     began = time.perf_counter()
     try:
-        witness = backtrack(state, clock, stats, state.differs_from_cycles, *moves(state))
+        witness = backtrack(state, clock, stats, *moves(state))
         status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
     except BudgetExceeded:
         witness = None
@@ -110,9 +112,10 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
     return SolveResult(status, stats=stats)
 
 
-def backtrack(state, clock, stats, accepted, start, expand, take, refute):
-    """Depth-first search over one solver's moves; the first accepted
-    decomposition, or None once the search space is exhausted.
+def backtrack(state, clock, stats, start, expand, take, refute):
+    """Depth-first search over one solver's moves; the first complete state
+    that ``state.differs_from_cycles`` accepts, as its decomposition, or None
+    once the search space is exhausted.
 
     The root costs one node, charged before ``start()`` makes the branch-free
     root moves. Each further node is charged as it opens; ``expand()`` then
@@ -120,12 +123,15 @@ def backtrack(state, clock, stats, accepted, start, expand, take, refute):
     makes candidate e's move: OK opens a child node, COMPLETES_COMPONENT has
     the state judged as it stands, and a failure rejects the move. Once a
     move or its subtree fails, the state is undone to the mark taken before
-    the move and ``refute(e)``, if given, commits the alternative; the node
-    closes when that fails or completes a state that is not accepted.
-    Complete states are judged by ``accepted()``. Raises BudgetExceeded when
-    the clock runs out.
+    the move and ``refute(e)`` commits the alternative. Its outcome decides
+    the node: OK goes on to the next candidate; CONFLICT or
+    CLOSES_NON_HAM_CYCLE closes the node; COMPLETES_COMPONENT has a complete
+    state judged, returned when accepted and closing the node otherwise, and
+    goes on to the next candidate when the state is not complete. Raises
+    BudgetExceeded when the clock runs out.
     """
     is_complete = state.is_complete
+    accepted = state.differs_from_cycles
     clock.charge_node()
     r = start()
     if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
@@ -152,40 +158,29 @@ def backtrack(state, clock, stats, accepted, start, expand, take, refute):
             if failed:
                 # the move at cands[idx - 1], or its subtree, failed
                 undo_to(mark)
-                if refute is not None:
-                    r = refute(cands[idx - 1])
-                    if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
-                        frames.pop()
-                        continue
-                    if is_complete():
-                        if accepted():
-                            return state.extract_decomposition()
-                        frames.pop()
-                        continue
-                failed = False
-            n = len(cands)
-            while idx < n:
-                e = cands[idx]
-                idx += 1
-                mark = len(trail)
-                r = take(e)
-                if r is OK:
-                    break
-                if r is COMPLETES_COMPONENT and is_complete() and accepted():
-                    return state.extract_decomposition()
-                if refute is not None:
-                    failed = True  # refuted at the top of the loop
-                    break
-                undo_to(mark)
-            else:
+                r = refute(cands[idx - 1])
+                if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+                    frames.pop()
+                    continue
+                # a state completes only by a fix closing a cycle, so no other outcome can
+                if r is COMPLETES_COMPONENT and is_complete():
+                    if accepted():
+                        return state.extract_decomposition()
+                    frames.pop()
+                    continue
+            if idx == len(cands):
                 # every candidate failed, so the node does
                 frames.pop()
                 failed = True
                 continue
-            frame[1] = idx
-            frame[2] = mark
-            if not failed:
-                break  # open the child node take(e) made
+            frame[1] = idx + 1
+            frame[2] = len(trail)
+            r = take(cands[idx])
+            if r is OK:
+                break  # open the child node the move made
+            if r is COMPLETES_COMPONENT and is_complete() and accepted():
+                return state.extract_decomposition()
+            failed = True  # refuted at the top of the loop
         else:
             return None
 
@@ -345,9 +340,6 @@ class PartialState:
     _fix_directed = _fix_undirected
 
     # -- undo -----------------------------------------------------------
-
-    def mark(self) -> int:
-        return len(self.trail)
 
     def undo_to(self, mark: int):
         """Revert every fix after ``mark`` and clear the invalid flag."""

@@ -2,8 +2,34 @@
 
 import random
 
-from hamdecomp import FREE, PartialState, W, Z
+from hamdecomp import FREE, PartialState, SolveLimits, W, Z, bcef
 from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT
+
+
+def solve_bcef_validated(g, x, y, limits=None):
+    """``solve_bcef`` with full invariant scans after every cascade that does
+    not fail: ``PartialState.check_invariants`` and
+    ``bcef.check_propagation_closure``, which raise AssertionError on a
+    violation.
+
+    ``preprocess_parallel`` and the search's moves both reach the cascade
+    through the module global ``bcef.chain_fix``, so a wrapper set there sees
+    every cascade; the original is restored on return.
+    """
+    cascade = bcef.chain_fix
+
+    def checked(state, e, comp, g):
+        r = cascade(state, e, comp, g)
+        if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
+            state.check_invariants()
+            bcef.check_propagation_closure(state, g)
+        return r
+
+    bcef.chain_fix = checked
+    try:
+        return bcef.solve_bcef(g, x, y, SolveLimits() if limits is None else limits)
+    finally:
+        bcef.chain_fix = cascade
 
 
 def scripted_roundtrip(g, seed, steps=60):

@@ -21,12 +21,13 @@ from hamdecomp import (
     solve_bsp,
 )
 from hamdecomp.state import COMPLETES_COMPONENT, FREE, OK
+from helpers import solve_bcef_validated
 from strategies import cycle_pairs
 from test_state import edge_id
 
 
 def trail_moves(state, g, start=0):
-    return [(g.endpoints(e), state.assignment[e]) for e in state.trail[start:]]
+    return [((g.tails[e], g.heads[e]), state.assignment[e]) for e in state.trail[start:]]
 
 
 def test_directed_cascade_order(rigid6_union):
@@ -36,7 +37,7 @@ def test_directed_cascade_order(rigid6_union):
     state = PartialState(g)
     assert preprocess_parallel(state, g) is OK
     assert trail_moves(state, g) == [((2, 3), Z), ((2, 3), W)]
-    mark = state.mark()
+    mark = len(state.trail)
     out = chain_fix(state, edge_id(g, 1, 2), Z, g)
     assert out is COMPLETES_COMPONENT
     assert trail_moves(state, g, mark) == [
@@ -84,7 +85,7 @@ def test_undirected_saturation_transfers(feasible6_union):
     g = feasible6_union
     state = PartialState(g)
     preprocess_parallel(state, g)  # (2,3) copies split
-    mark = state.mark()
+    mark = len(state.trail)
     out = chain_fix(state, edge_id(g, 1, 2), Z, g)
     assert out is OK
     assert trail_moves(state, g, mark) == [((1, 2), Z), ((2, 6), W)]
@@ -125,7 +126,7 @@ def test_select_prefers_lowest_vertex_on_ties(feasible6_union):
     v, cands = select_branch_edge(state, g)
     assert v == 1
     # all free degrees tie at 4, so candidates ascend by neighbor vertex
-    neighbors = [u + w - 1 for u, w in (g.endpoints(e) for e in cands)]
+    neighbors = [g.tails[e] + g.heads[e] - 1 for e in cands]
     assert neighbors == sorted(neighbors)
 
 
@@ -161,13 +162,13 @@ def test_select_none_when_everything_fixed(rigid6_union):
 
 
 def test_rigid_showcase_is_exact_negative(rigid6, rigid6_union):
-    r = solve_bcef(rigid6_union, rigid6.x, rigid6.y, validate=True)
+    r = solve_bcef_validated(rigid6_union, rigid6.x, rigid6.y)
     assert r.status is SolveStatus.NONE_EXISTS
     assert r.stats.nodes == 1  # preprocessing plus one cascade settle it unbranched
 
 
 def test_feasible_showcase_decomposed(feasible6, feasible6_union):
-    r = solve_bcef(feasible6_union, feasible6.x, feasible6.y, validate=True)
+    r = solve_bcef_validated(feasible6_union, feasible6.x, feasible6.y)
     assert r.status is SolveStatus.DECOMPOSED
     assert is_valid_decomposition(feasible6, r.z.vertices, r.w.vertices)
 
@@ -190,7 +191,7 @@ def test_determinism(feasible6, feasible6_union):
 def test_verdict_matches_oracle_with_invariant_scans(pair):
     x, y = pair
     g = build_union(x, y)
-    r = solve_bcef(g, x, y, validate=True)
+    r = solve_bcef_validated(g, x, y)
     assert (r.status is SolveStatus.DECOMPOSED) == second_decomposition_exists(g, x, y)
     if r.z is not None:
         inst = Instance(x.mode, x.n, x, y)

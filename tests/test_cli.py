@@ -198,6 +198,7 @@ def test_verify_exhaustive_size_guard(capsys, tmp_path):
     cert_path.write_text("s NONE\nt 0 0 0\n")
     code, _, err = run(capsys, "verify", inst_path, cert_path, "--exhaustive")
     assert code == 64
+    assert "n=14" in err
 
 
 def test_closed_loop_solve_verify(capsys, tmp_path):

@@ -12,6 +12,7 @@ that refutes a candidate ("w cascade").
 import pytest
 
 from hamdecomp import Mode, SolveLimits, build_union, gen_instance, solve_bcef, solve_bsp
+from helpers import solve_bcef_validated
 
 SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
 
@@ -52,10 +53,10 @@ def _row_id(row):
     return f"{algo}-{mode}-n{n}-s{seed}"
 
 
-def _solve(algo, mode, n, seed, budget, **kwargs):
+def _solve(algo, mode, n, seed, budget, solver=None):
     inst = gen_instance(n, Mode(mode), seed)
     g = build_union(inst.x, inst.y)
-    return SOLVERS[algo](g, inst.x, inst.y, SolveLimits(node_budget=budget), **kwargs)
+    return (solver or SOLVERS[algo])(g, inst.x, inst.y, SolveLimits(node_budget=budget))
 
 
 @pytest.mark.parametrize("row", ROWS, ids=_row_id)
@@ -69,7 +70,7 @@ def test_counters_pinned(row):
 @pytest.mark.parametrize("row", [r for r in ROWS if r[0] == "bcef" and r[2] <= 64], ids=_row_id)
 def test_validation_leaves_counters_alone(row):
     algo, mode, n, seed, budget, status, nodes, edges_fixed, max_depth = row
-    r = _solve(algo, mode, n, seed, budget, validate=True)
+    r = _solve(algo, mode, n, seed, budget, solve_bcef_validated)
     assert r.status.value == status
     assert r.stats.deterministic_fields() == (nodes, edges_fixed, max_depth)
 

@@ -492,7 +492,7 @@ def _complete_states(state, g, e=0):
             yield
         return
     for comp in (Z, W):
-        mark = state.mark()
+        mark = len(state.trail)
         r = state.fix_edge(e, comp)
         if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
             yield from _complete_states(state, g, e + 1)
