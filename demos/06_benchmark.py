@@ -1,34 +1,11 @@
 #!/usr/bin/env python3
-"""A small benchmark matrix through the library API.
+"""A small benchmark matrix through ``hamdecomp bench``.
 
-Times both algorithms over seeded suites and prints the per-group feasible and
-infeasible means; the same matrix is available from the command line as
-``hamdecomp bench --n 16,32 --mode directed,undirected --algo bsp,bcef``.
+Solves seeded suites with both algorithms, one after another in this process,
+and prints the per-group feasible and infeasible counts and mean solve times.
 """
 
-import time
+from hamdecomp.cli import main
 
-from hamdecomp import Mode, SolveLimits, SolveStatus, build_union, gen_instance, solve_bcef, solve_bsp
-
-SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
-COUNT = 30
-LIMITS = SolveLimits(time_budget=5.0)
-
-print(f"{'mode':<12}{'n':>5}{'algo':>6}{'feas N':>8}{'feas ms':>9}{'infeas N':>10}{'infeas ms':>10}")
-for mode in (Mode.DIRECTED, Mode.UNDIRECTED):
-    for n in (16, 32):
-        for algo, solver in SOLVERS.items():
-            feas, infeas = [], []
-            for seed in range(COUNT):
-                inst = gen_instance(n, mode, seed)
-                g = build_union(inst.x, inst.y)
-                t0 = time.perf_counter()
-                result = solver(g, inst.x, inst.y, LIMITS)
-                ms = (time.perf_counter() - t0) * 1000
-                if result.status is SolveStatus.DECOMPOSED:
-                    feas.append(ms)
-                elif result.status is SolveStatus.NONE_EXISTS:
-                    infeas.append(ms)
-            fm = sum(feas) / len(feas) if feas else 0.0
-            im = sum(infeas) / len(infeas) if infeas else 0.0
-            print(f"{mode.value:<12}{n:>5}{algo:>6}{len(feas):>8}{fm:>9.2f}{len(infeas):>10}{im:>10.2f}")
+main(["bench", "--n", "16,32", "--mode", "directed,undirected", "--algo", "bsp,bcef",
+      "--count", "30", "--time-limit", "5"])

@@ -210,8 +210,8 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def certificate_of(result: SolveResult) -> Certificate:
-    """The Certificate view of a SolveResult."""
+    """The Certificate view of a SolveResult; its time in whole ms, truncated."""
     z = result.z.vertices if result.z is not None else None
     w = result.w.vertices if result.w is not None else None
     stats: SolveStats = result.stats
-    return Certificate(result.status, z, w, stats.elapsed_ms, stats.nodes, stats.edges_fixed)
+    return Certificate(result.status, z, w, int(stats.elapsed_ms), stats.nodes, stats.edges_fixed)

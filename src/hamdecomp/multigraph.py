@@ -57,8 +57,8 @@ class UnionMultigraph:
     """Immutable union of two Hamiltonian cycles with per-edge identities.
 
     Undirected edges are stored with (min, max) endpoint order; the edge id
-    disambiguates parallel copies. Incidence lists are tuples and safe to
-    share across concurrent solver runs.
+    disambiguates parallel copies. Incidence lists are tuples, so solver runs
+    on one graph can share them.
 
     Every edge end sits at a *port*. Undirected, port v is vertex v and holds
     two edges of each component. Directed, a tail sits at out-port u and a

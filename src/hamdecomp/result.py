@@ -19,7 +19,7 @@ class SolveStats:
     nodes: int = 0
     edges_fixed: int = 0
     max_depth: int = 0
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0  # wall time of the solve, in ms
 
     def deterministic_fields(self) -> tuple[int, int, int]:
         """Everything except wall-clock time; equal across reruns."""

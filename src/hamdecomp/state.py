@@ -94,10 +94,10 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
     """
     if g.cycles != (x, y):
         raise MismatchedInstancesError("graph was not built from these cycles")
+    began = time.perf_counter()
     state = PartialState(g)
     clock = BudgetClock(limits)
     stats = SolveStats()
-    began = time.perf_counter()
     try:
         witness = backtrack(state, clock, stats, *moves(state))
         status = SolveStatus.DECOMPOSED if witness else SolveStatus.NONE_EXISTS
@@ -106,7 +106,7 @@ def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
         status = SolveStatus.TIMED_OUT
     stats.nodes = clock.nodes
     stats.edges_fixed = state.edges_fixed
-    stats.elapsed_ms = int((time.perf_counter() - began) * 1000)
+    stats.elapsed_ms = (time.perf_counter() - began) * 1000
     if witness:
         return SolveResult(status, witness[0], witness[1], stats)
     return SolveResult(status, stats=stats)
@@ -313,18 +313,15 @@ class PartialState:
         ev = pend[v]
         if eu == v:
             # u and v are the two ends of one fixed path: this edge closes a cycle
-            cnt = self.counts[comp] + 1
-            if cnt < self.n:
+            if self.counts[comp] + 1 < self.n:
                 self.invalid = True
                 return CLOSES_NON_HAM_CYCLE
-            self.assignment[e] = comp
-            deg[u] += 1
-            deg[v] += 1
-            self.counts[comp] = cnt
-            self.trail.append(e)
-            self.saved_a[e] = self.saved_b[e] = 0
-            self.edges_fixed += 1
-            return COMPLETES_COMPONENT
+            eu = ev = 0
+            r = COMPLETES_COMPONENT
+        else:
+            pend[eu] = ev
+            pend[ev] = eu
+            r = OK
         self.assignment[e] = comp
         deg[u] += 1
         deg[v] += 1
@@ -332,10 +329,8 @@ class PartialState:
         self.trail.append(e)
         self.saved_a[e] = eu
         self.saved_b[e] = ev
-        pend[eu] = ev
-        pend[ev] = eu
         self.edges_fixed += 1
-        return OK
+        return r
 
     _fix_directed = _fix_undirected
 

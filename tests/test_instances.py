@@ -206,6 +206,16 @@ def test_certificate_of_solver_result(feasible6):
     assert cert.status is SolveStatus.DECOMPOSED
 
 
+def test_certificate_time_stays_whole_ms(feasible6):
+    from hamdecomp import build_union, solve_bcef
+
+    r = solve_bcef(build_union(feasible6.x, feasible6.y), feasible6.x, feasible6.y)
+    r.stats.elapsed_ms = 12.75  # the solver's clock keeps fractions of a ms
+    text = write_certificate(r)
+    assert text.splitlines()[-1] == f"t 12 {r.stats.nodes} {r.stats.edges_fixed}"
+    assert parse_certificate(text).elapsed_ms == 12
+
+
 @pytest.mark.parametrize("text", [
     "",
     "s MAYBE\nt 1 2 3\n",
