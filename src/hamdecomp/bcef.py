@@ -10,9 +10,15 @@ edge at most once, and leave all performed fixes on the trail so the caller
 can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
 ``state.py`` next to ``fix_edge``, whose checks it performs in place; one
 push step, the free edges at each port a fix filled, serves both modes. It
-is imported here, so ``bcef.chain_fix`` names it too. The branch vertex,
-``select_branch_edge``, is one rule for both modes too; its candidates are
-the free edges at its port, which for a directed vertex is its out-port.
+is imported here, so ``bcef.chain_fix`` names it too.
+
+A directed cascade stays on one ring of the union (see ``UnionMultigraph``):
+from a free ring it fixes exactly that ring, x's arcs into one component and
+y's into the other, so each directed decision decides one ring. Directed
+search branches on the longest undecided ring, offering its first x-arc,
+then the y-arc at the same out-port. Undirected search branches at the
+vertex ``select_branch_edge`` picks, among the free edges at its port;
+the function serves both modes, but only undirected search calls it.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -122,20 +128,36 @@ def solve_bcef(g: UnionMultigraph, x: HamCycle, y: HamCycle,
 def _moves(state):
     g = state.g
     assignment = state.assignment
+    if state.directed:
+        # A cascade from a free ring fixes that ring and nothing else, so each
+        # node decides one nontrivial ring: the longest undecided one (ties in
+        # table order), at its first out-port, x's arc into z first, then y's.
+        rings = sorted((r for r in g.rings if len(r) > 2), key=len, reverse=True)
+        branches = [g.ports[g.tails[r[0]]] for r in rings]
+
+        def expand():
+            for cands in branches:
+                if assignment[cands[0]] == FREE:
+                    return cands
+            return None
+    else:
+        branches = None
+
+        def expand():
+            if state.is_complete():
+                return None
+            sel = select_branch_edge(state, g)
+            return None if sel is None else sel[1]
 
     def start():
         r = preprocess_parallel(state, g)
         if r is not OK:
             return r  # failed, or already complete
-        # The first free edge lands in one of the two cycles of any
-        # decomposition; naming that cycle z makes the choice branch-free.
-        return chain_fix(state, assignment.index(FREE), Z, g)
-
-    def expand():
-        if state.is_complete():
-            return None
-        sel = select_branch_edge(state, g)
-        return None if sel is None else sel[1]
+        # The edge lands in one of the two cycles of any decomposition; naming
+        # that cycle z makes the choice branch-free. Directed, the edge is the
+        # longest ring's first x-arc, undirected the first free edge.
+        e = assignment.index(FREE) if branches is None else branches[0][0]
+        return chain_fix(state, e, Z, g)
 
     def take(e):
         a = assignment[e]

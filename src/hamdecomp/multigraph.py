@@ -67,11 +67,20 @@ class UnionMultigraph:
     port of each edge's head; edge e joins ports ``tails[e]`` and
     ``head_port[e]``. ``build_union`` makes every table; ``cycles`` is the
     pair it built them from, and None marks a graph of no known pair.
+
+    A directed union splits into alternating cycles, its *rings*: an x-arc,
+    the y-arc at its out-port, the x-arc at that y-arc's in-port, and so on
+    back to the first. Every port holds two arcs of one ring, the vertices a
+    ring's x-arcs leave make up one cycle of pi = y^-1 x, and the 2-rings are
+    the parallel pairs. ``rings`` lists them as tuples of arc ids, each
+    from its lowest x-arc id and in that order, and ``ring_of`` gives each
+    arc's index in ``rings``. An undirected union has no rings: ``rings`` is
+    empty and ``ring_of`` None.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles")
+    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles", "rings", "ring_of")
 
-    def __init__(self, n, mode, tails, heads, head_port, ports, cycles):
+    def __init__(self, n, mode, tails, heads, head_port, ports, cycles, rings=(), ring_of=None):
         self.n = n
         self.mode = mode
         self.tails = tails
@@ -79,6 +88,8 @@ class UnionMultigraph:
         self.head_port = head_port
         self.ports = ports
         self.cycles = cycles
+        self.rings = rings
+        self.ring_of = ring_of
 
     @property
     def num_edges(self) -> int:
@@ -98,7 +109,7 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
         )
     n = x.n
     directed = x.mode is Mode.DIRECTED
-    leaving = []  # per cycle, the id of the edge leaving each vertex 1..n
+    leaving = []  # per cycle, the id of the edge leaving each vertex (slot 0 unused)
     tails = []
     heads = []
     for base, c in ((0, x), (n, y)):
@@ -106,7 +117,7 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
         pos = [0] * (n + 1)
         for i, v in enumerate(vs, base):
             pos[v] = i
-        leaving.append(pos[1:])
+        leaving.append(pos)
         nxt = vs[1:] + vs[:1]
         if directed:
             tails += vs
@@ -116,19 +127,45 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
             heads += [v if u < v else u for u, v in zip(vs, nxt)]
     tails = tuple(tails)
     heads = tuple(heads)
-    lx, ly = leaving
-    if directed:
-        # out-port v holds the arcs leaving v, in-port n + v those arriving
-        arriving = (n - 1, *range(n - 1), 2 * n - 1, *range(n, 2 * n - 1)).__getitem__
-        ports = ((), *zip(lx, ly), *zip(map(arriving, lx), map(arriving, ly)))
-        head_port = tuple([n + v for v in heads])
-    else:
+    px, py = leaving
+    lx = px[1:]
+    ly = py[1:]
+    if not directed:
         # the two edges at the vertex where edge i leaves, lower id first
         at = ((0, n - 1), *zip(range(n - 1), range(1, n)),
               (n, 2 * n - 1), *zip(range(n, 2 * n - 1), range(n + 1, 2 * n)))
         ports = ((), *[at[a] + at[b] for a, b in zip(lx, ly)])
-        head_port = heads
-    return UnionMultigraph(n, x.mode, tails, heads, head_port, ports, (x, y))
+        return UnionMultigraph(n, x.mode, tails, heads, heads, ports, (x, y))
+    # out-port v holds the arcs leaving v, in-port n + v those arriving
+    arriving = (n - 1, *range(n - 1), 2 * n - 1, *range(n, 2 * n - 1))
+    ports = ((), *zip(lx, ly), *zip(map(arriving.__getitem__, lx), map(arriving.__getitem__, ly)))
+    head_port = tuple([n + v for v in heads])
+    # Ring steps: x's arc a leaves tails[a], where y's arc b leaves too, and
+    # b enters heads[b], where x's arc arriving[px[heads[b]]] enters.
+    # ``step`` takes an x-arc to the next x-arc of its ring.
+    y_at_tail = [py[v] for v in x.vertices]
+    x_at_head = [0] * n + [arriving[px[v]] for v in heads[n:]]
+    step = [x_at_head[b] for b in y_at_tail]
+    rings = []
+    x_ring = [-1] * n
+    for first in range(n):
+        if x_ring[first] >= 0:
+            continue
+        r = len(rings)
+        xs = []
+        a = first
+        while x_ring[a] < 0:
+            x_ring[a] = r
+            xs.append(a)
+            a = step[a]
+        ring = xs * 2
+        ring[::2] = xs
+        ring[1::2] = [y_at_tail[a] for a in xs]
+        rings.append(tuple(ring))
+    # y's arc leaving v shares its ring with x's arc leaving v
+    ring_of = (*x_ring, *[x_ring[px[v]] for v in y.vertices])
+    return UnionMultigraph(n, x.mode, tails, heads, head_port, ports, (x, y),
+                           tuple(rings), ring_of)
 
 
 def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:

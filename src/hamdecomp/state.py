@@ -15,7 +15,9 @@ Both solvers also share the search itself: ``solve`` sets up a run and
 its moves, the same four for both: ``start``, ``expand``, ``take`` and
 ``refute``. The driver refutes every failed move and judges every complete
 state by edge id. The chain-fixing cascade, ``chain_fix``, lives here too,
-because it writes its forced fixes into the state's fields directly.
+because it writes its forced fixes into the state's fields directly, and so
+does ``_walk_ring``, its queue-free path for a directed ring with no fixed
+arc.
 """
 
 from __future__ import annotations
@@ -567,10 +569,19 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     cascade pays no call per edge. One push step serves both modes: the free
     edges at each port the fix filled, the tail's port first. A directed fix
     fills both of its ports, and the one free arc left at each is its sibling.
+    So a directed cascade stays on e's ring (see ``UnionMultigraph``), and
+    when the whole ring is free, as in every state the search makes,
+    ``_walk_ring`` fixes it in the queue's order without the queue.
     """
     assignment = state.assignment
     if assignment[e] != FREE:
         raise AlreadyFixedError(f"edge {e} already fixed")
+    ring_of = g.ring_of
+    if ring_of is not None:
+        ring = g.rings[ring_of[e]]
+        # FREE is the least value, so the largest is FREE only if all are
+        if max(map(assignment.__getitem__, ring)) == FREE:
+            return _walk_ring(state, e, comp, ring, g)
     ports = g.ports
     tails = g.tails
     heads = g.head_port
@@ -641,6 +652,77 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
                     push(o)
     state.edges_fixed += fixed
     if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+        state.invalid = True
+    return r
+
+
+def _walk_ring(state: PartialState, e: int, comp: int, ring: tuple, g: UnionMultigraph) -> FixOutcome:
+    """``chain_fix`` of arc e when every arc of its ring is free.
+
+    Every port the ring touches then holds two free arcs of the ring and no
+    other, so the queue would fix the whole ring, and nothing else, in
+    alternating components: e, then one arc each way round the ring in turn,
+    the sibling at e's tail port first, ending at the arc opposite e. The
+    walk fixes them in that order with the queue's cycle checks, trail
+    entries and saved ends, but without its queue, port scan or capacity
+    test, which cannot fail here.
+    """
+    k = ring.index(e)
+    rot = ring[k:] + ring[:k]
+    size = len(ring)
+    half = size >> 1
+    ahead = rot[1:half]  # the arcs 1 .. half - 1 steps on from e
+    behind = rot[:half:-1]  # and back from e
+    if e >= state.n:
+        # a ring lists each x-arc before the y-arc at its tail port
+        ahead, behind = behind, ahead
+    order = [e] * size
+    order[1:-1:2] = ahead
+    order[2:-1:2] = behind
+    order[-1] = rot[half]
+    # The arcs 2j - 1 and 2j of the order lie j steps from e, so they go to
+    # comp for even j: a step per arc names its component and that
+    # component's endpoint map and degrees.
+    other = 1 - comp
+    near = (comp, state.pend[comp], state.deg[comp])
+    far = (other, state.pend[other], state.deg[other])
+    steps = [near] + [far, far, near, near] * ((size >> 2) + 1)
+    assignment = state.assignment
+    tails = g.tails
+    heads = g.head_port
+    counts = state.counts
+    saved_a = state.saved_a
+    saved_b = state.saved_b
+    r = OK
+    for f, (c, pend, deg) in zip(order, steps):
+        u = tails[f]
+        v = heads[f]
+        eu = pend[u]
+        ev = pend[v]
+        if eu == v:
+            # u and v are the two ends of one fixed path: f closes a cycle
+            i = order.index(f)
+            if counts[c] + 1 + steps[:i].count(steps[i]) < state.n:
+                del order[i:]
+                r = CLOSES_NON_HAM_CYCLE
+                break
+            saved_a[f] = saved_b[f] = 0
+            r = COMPLETES_COMPONENT
+        else:
+            saved_a[f] = eu
+            saved_b[f] = ev
+            pend[eu] = ev
+            pend[ev] = eu
+        assignment[f] = c
+        deg[u] = 1
+        deg[v] = 1
+    state.trail += order
+    fixed = len(order)
+    fixed_near = steps[:fixed].count(near)
+    counts[comp] += fixed_near
+    counts[other] += fixed - fixed_near
+    state.edges_fixed += fixed
+    if r is CLOSES_NON_HAM_CYCLE:
         state.invalid = True
     return r
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +15,7 @@ from hamdecomp import (
     Z,
     build_union,
     chain_fix,
+    decomposition_problems,
     is_valid_decomposition,
     preprocess_parallel,
     second_decomposition_exists,
@@ -205,3 +208,43 @@ def test_agrees_with_path_extension_solver(pair):
     x, y = pair
     g = build_union(x, y)
     assert solve_bcef(g, x, y).status is solve_bsp(g, x, y).status
+
+
+def _double_bridge_pair(n, k, seed):
+    """db(n, k): a random directed n-cycle x and the cycle y made from x by k
+    random double-bridge moves, each cutting the vertex sequence into A B C D
+    and joining it as A C B D. At k = n/4 the union has dozens of nontrivial
+    rings."""
+    rng = random.Random(seed)
+    x = list(range(1, n + 1))
+    rng.shuffle(x)
+    y = x[:]
+    for _ in range(k):
+        i, j, m = sorted(rng.sample(range(1, n), 3))
+        y = y[:i] + y[j:m] + y[i:j] + y[m:]
+    return HamCycle(x, Mode.DIRECTED), HamCycle(y, Mode.DIRECTED)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_double_bridge_pairs_decided(seed):
+    """Structured directed pairs with dozens of nontrivial rings: branching on
+    the longest undecided ring first decides each within 1000 nodes, and
+    every witness is a valid second decomposition."""
+    x, y = _double_bridge_pair(1024, 256, seed)
+    for a, b in ((x, y), (y, x)):
+        r = solve_bcef(build_union(a, b), a, b, SolveLimits(node_budget=1000))
+        assert r.status is not SolveStatus.TIMED_OUT
+        if r.status is SolveStatus.DECOMPOSED:
+            inst = Instance(Mode.DIRECTED, a.n, a, b)
+            assert decomposition_problems(inst, r.z.vertices, r.w.vertices) == []
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_double_bridge_verdicts_match_oracle(n):
+    for k in (1, 2, 3):
+        for seed in range(8):
+            x, y = _double_bridge_pair(n, k, seed)
+            for a, b in ((x, y), (y, x)):
+                g = build_union(a, b)
+                r = solve_bcef_validated(g, a, b)
+                assert (r.status is SolveStatus.DECOMPOSED) == second_decomposition_exists(g, a, b)

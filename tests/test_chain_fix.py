@@ -1,12 +1,12 @@
 """The chain-fixing cascade against the cascade built on ``fix_edge``.
 
 ``chain_fix`` performs each forced fix in place instead of calling
-``fix_edge``, and a directed fix pushes the sibling arc at each of its two
-ports directly. ``_reference_chain_fix`` is the cascade it replaced, one
-``fix_edge`` call per forced fix and a loop over both edges of every port a
-fix fills. Run side by side on two states, the two must return the same
-outcome and leave the same state, trail order, ``edges_fixed`` and invalid
-flag after every call, on success and on failure.
+``fix_edge``, and when every arc of a directed arc's ring is free it walks
+the ring without a queue. ``_reference_chain_fix`` is the cascade it
+replaced, one ``fix_edge`` call per forced fix and a loop over both edges of
+every port a fix fills. Run side by side on two states, the two must return
+the same outcome and leave the same state, trail order, ``edges_fixed`` and
+invalid flag after every call, on success and on failure.
 """
 
 import random
@@ -130,6 +130,53 @@ def test_cascades_from_every_edge_match_reference(mode):
                     r = chain_fix(kernel, e, comp, g)
                     assert _reference_chain_fix(reference, e, comp, g) is r
                     _same(kernel, reference)
+
+
+def test_ring_walk_matches_reference_on_search_states(monkeypatch):
+    """The states the search makes, each reached by successful cascades from
+    free arcs, leave every ring fixed or free, so a cascade from any free arc
+    takes the ring walk. Cascade every free arc into each component and
+    compare with the queue built on ``fix_edge``."""
+    walks = []
+    walk = hamdecomp.state._walk_ring
+
+    def counted(*args):
+        r = walk(*args)
+        walks.append(r)
+        return r
+
+    monkeypatch.setattr(hamdecomp.state, "_walk_ring", counted)
+    cascades = 0
+    for n in range(3, 13):
+        for seed in range(6):
+            inst = hamdecomp.gen_instance(n, Mode.DIRECTED, seed)
+            g = build_union(inst.x, inst.y)
+            rng = random.Random(seed)
+            kernel = PartialState(g)
+            reference = PartialState(g)
+            while True:
+                mark = len(kernel.trail)
+                free = [e for e in range(g.num_edges) if kernel.assignment[e] == FREE]
+                moves = []
+                for e in free:
+                    for comp in (Z, W):
+                        r = chain_fix(kernel, e, comp, g)
+                        assert _reference_chain_fix(reference, e, comp, g) is r
+                        _same(kernel, reference)
+                        cascades += 1
+                        if r is OK or r is COMPLETES_COMPONENT:
+                            moves.append((e, comp))
+                        kernel.undo_to(mark)
+                        reference.undo_to(mark)
+                if not moves:
+                    break
+                e, comp = rng.choice(moves)
+                chain_fix(kernel, e, comp, g)
+                _reference_chain_fix(reference, e, comp, g)
+                cascades += 1
+                _same(kernel, reference)
+    assert len(walks) == cascades > 1000
+    assert set(walks) == {OK, COMPLETES_COMPONENT, CLOSES_NON_HAM_CYCLE}
 
 
 def test_one_cascade_under_every_name():

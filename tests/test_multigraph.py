@@ -179,3 +179,63 @@ def test_parallel_pairs_match_grouping_by_pair(pair, kind, k):
     }[kind]
     g = build_union(first, second)
     assert parallel_edge_pairs(g) == _setdefault_parallel_pairs(g)
+
+
+def _nontrivial_pi_cycles(x, y):
+    """The number of cycles of pi = y^-1 x longer than one vertex, from the
+    two vertex sequences alone: pi(u) is the vertex before x's successor of u
+    in y."""
+    n = x.n
+    succ_x = dict(zip(x.vertices, x.vertices[1:] + x.vertices[:1]))
+    pred_y = dict(zip(y.vertices[1:] + y.vertices[:1], y.vertices))
+    seen = set()
+    count = 0
+    for u in range(1, n + 1):
+        if u in seen:
+            continue
+        length = 0
+        while u not in seen:
+            seen.add(u)
+            length += 1
+            u = pred_y[succ_x[u]]
+        count += length > 1
+    return count
+
+
+@given(cycle_pairs(min_n=3, max_n=40, mode=Mode.DIRECTED),
+       st.sampled_from(["pair", "doubled", "rotated"]), st.integers(1, 39))
+def test_directed_rings_are_the_alternating_cycles(pair, kind, k):
+    x, y = pair
+    n = x.n
+    vs = x.vertices
+    k %= n
+    if kind == "doubled":
+        y = x
+    elif kind == "rotated":
+        # x rotated by k starts at another vertex but has x's arcs
+        y = HamCycle(vs[k:] + vs[:k], Mode.DIRECTED)
+    g = build_union(x, y)
+    rings = g.rings
+    # every arc in exactly one ring, which ring_of names
+    assert sorted(e for ring in rings for e in ring) == list(range(2 * n))
+    assert all(g.ring_of[e] == r for r, ring in enumerate(rings) for e in ring)
+    # each ring from its lowest x-arc, in that order; x- and y-arcs alternate
+    assert [ring[0] for ring in rings] == sorted(min(ring) for ring in rings)
+    for ring in rings:
+        assert len(ring) % 2 == 0
+        assert all(a < n <= b for a, b in zip(ring[::2], ring[1::2]))
+        # an x-arc and the next y-arc share an out-port, a y-arc and the next
+        # x-arc an in-port
+        for i in range(0, len(ring), 2):
+            a, b, c = ring[i], ring[i + 1], ring[(i + 2) % len(ring)]
+            assert g.tails[a] == g.tails[b]
+            assert g.heads[b] == g.heads[c]
+    assert [ring for ring in rings if len(ring) == 2] == parallel_edge_pairs(g)
+    assert sum(len(ring) > 2 for ring in rings) == _nontrivial_pi_cycles(x, y)
+
+
+@given(cycle_pairs(min_n=3, max_n=40, mode=Mode.UNDIRECTED))
+def test_undirected_union_has_no_rings(pair):
+    g = build_union(*pair)
+    assert g.rings == ()
+    assert g.ring_of is None
