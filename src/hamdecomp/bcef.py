@@ -17,8 +17,7 @@ from a free ring it fixes exactly that ring, x's arcs into one component and
 y's into the other, so each directed decision decides one ring. Directed
 search branches on the longest undecided ring, offering its first x-arc,
 then the y-arc at the same out-port. Undirected search branches at the
-vertex ``select_branch_edge`` picks, among the free edges at its port;
-the function serves both modes, but only undirected search calls it.
+vertex ``select_branch_edge`` picks, among the free edges at its port.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
@@ -76,25 +75,18 @@ def preprocess_parallel(state: PartialState, g: UnionMultigraph) -> FixOutcome:
 
 
 def select_branch_edge(state: PartialState, g: UnionMultigraph):
-    """Pick the branch vertex and its ordered candidate edges, or None.
+    """Pick the branch vertex of an undirected state and its ordered
+    candidate edges, or None when every vertex is saturated.
 
-    One rule serves both modes. ``state.placed`` counts each vertex's fixed
-    edge ends, an end at its branch port (undirected its one port, directed
-    its out-port, where the candidates sit) as ``2 // capacity`` and any
-    other as 1. ``bytearray.find``, a C memchr, looks for the counts 3, 2, 1
-    and 0 in turn and returns the lowest vertex with the first one present;
-    slot 0 holds 4, so it is never chosen. Candidates are the branch port's
-    free edges, ascending by the fixed edges at the far end's port, then by
-    far vertex and edge id.
-
-    The state must be closed by a full cascade, as the search's are: then
-    every directed port holds 0 or 2 fixed arcs, and a free arc's in-port 0.
-    So undirected, the vertex has the minimum nonzero free degree; directed,
-    the most fixed arcs among those whose out-port is not full, so a decision
-    propagates from both endpoints at once, and candidates ascend by head.
-    A lone ``fix_edge`` leaves an open state, where the choice may differ.
+    ``state.placed`` counts each vertex's fixed edge ends. ``bytearray.find``,
+    a C memchr, looks for the counts 3, 2, 1 and 0 in turn and returns the
+    lowest vertex with the first one present, the vertex of minimum nonzero
+    free degree; slot 0 holds 4, so it is never chosen. Candidates are the
+    vertex's free edges, ascending by the far end's free degree, then by far
+    vertex and edge id. Directed search branches on rings and never calls it.
     """
-    find = state.placed.find
+    placed = state.placed
+    find = placed.find
     for c in (3, 2, 1, 0):
         best = find(c)
         if best > 0:
@@ -102,19 +94,13 @@ def select_branch_edge(state: PartialState, g: UnionMultigraph):
     else:
         return None
     assignment = state.assignment
-    degz, degw = state.deg
     tails = g.tails
     heads = g.heads
-    head_port = g.head_port
     cands = []
     for e in g.ports[best]:
         if assignment[e] == FREE:
-            if tails[e] == best:
-                k = heads[e]
-                kp = head_port[e]
-            else:
-                k = kp = tails[e]
-            cands.append((-degz[kp] - degw[kp], k, e))
+            k = heads[e] if tails[e] == best else tails[e]
+            cands.append((-placed[k], k, e))
     cands.sort()
     return best, [e for _, _, e in cands]
 
@@ -144,8 +130,6 @@ def _moves(state):
         branches = None
 
         def expand():
-            if state.is_complete():
-                return None
             sel = select_branch_edge(state, g)
             return None if sel is None else sel[1]
 

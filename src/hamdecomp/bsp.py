@@ -59,7 +59,7 @@ def _moves(state):
 
     def expand():
         # Free edges at the path head, cheapest continuation first: fewest
-        # free edges at the far end k, counted over k's out- and in-port
+        # free edges at the far end k, summed over k's out- and in-port
         # (undirected: twice over its one port, which orders the same). Two
         # free parallel copies are interchangeable, so only the lower id is
         # tried.

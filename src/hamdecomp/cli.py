@@ -2,7 +2,9 @@
 
 Exit codes for ``solve``: 0 decomposed, 1 none exists, 2 timed out, 64 input
 error. For ``verify``: 0 verified, 1 refuted, 64 input error. All usage and
-parse problems exit 64 so that 2 stays reserved for timeouts.
+parse problems exit 64 so that 2 stays reserved for timeouts. Every command
+exits 141, as a shell reports a death by SIGPIPE, when its stdout is closed
+before it has written everything, as in ``hamdecomp bench ... | head -1``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +38,7 @@ EXIT_TIMEOUT = 2
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INPUT_ERROR = 64
+EXIT_BROKEN_PIPE = 141
 
 _SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
 
@@ -267,10 +271,19 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe is caught here, not at exit
+        return code
     except HamdecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so that the flush at
+        # interpreter exit does not fail on the same pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -215,18 +215,14 @@ class PartialState:
       pend        -- per component, the open port at the other end of the
                      path that ends at a port (kept only at path ends)
       placed      -- a bytearray of the fixed edge ends at each vertex, both
-                     components together: an end at the vertex's branch
-                     port, where bcef's candidates sit (undirected its one
-                     port, directed its out-port), counts ``2 // capacity``,
-                     any other end 1. Slot 0, no vertex, holds 4 so it reads
+                     components together; undirected search reads it to pick
+                     its branch vertex. Slot 0, no vertex, holds 4 so it reads
                      as saturated. It is a view synced from the trail when
-                     read, not kept
-                     by ``fix_edge`` and ``undo_to``: a read costs the trail
-                     entries pushed or popped since the last one, and fixes
-                     made and undone between two reads are never counted.
-                     ``undo_to`` only lowers ``_synced``, the length of the
-                     trail prefix that the last read counted and no undo has
-                     popped since.
+                     read, not kept by ``fix_edge``: a read counts the trail
+                     entries pushed since ``_synced``, the length of the trail
+                     prefix it holds, and ``undo_to`` uncounts the entries of
+                     that prefix it pops. A state whose view is never read,
+                     as in bsp, the oracle and directed bcef, pays nothing.
     """
 
     __slots__ = (
@@ -255,30 +251,19 @@ class PartialState:
             ends = list(range(size))
             self.capacity = 2
         self.pend = (ends, ends[:])
-        # the counts, and the trail entries they count
-        self._placed = (bytearray([4]) + bytearray(n), [])
+        self._placed = bytearray([4]) + bytearray(n)
 
     @property
     def placed(self):
-        placed, counted = self._placed
+        placed = self._placed
         trail = self.trail
-        # Entries are only pushed and popped at the end of the trail, so the
-        # counted entries still on it are the prefix that no undo has reached.
-        # The same edge can be fixed again at the same position, so the
-        # entries themselves cannot tell.
         k = self._synced
-        if k != len(counted) or k != len(trail):
+        if k != len(trail):
             tails = self.g.tails
             heads = self.g.heads
-            unit = 2 // self.capacity  # an end at the tail's port, the branch port
-            for e in counted[k:]:
-                placed[tails[e]] -= unit
-                placed[heads[e]] -= 1
-            pushed = trail[k:]
-            for e in pushed:
-                placed[tails[e]] += unit
+            for e in trail[k:]:
+                placed[tails[e]] += 1
                 placed[heads[e]] += 1
-            counted[k:] = pushed
             self._synced = len(trail)
         return placed
 
@@ -351,6 +336,15 @@ class PartialState:
         counts = self.counts
         degs = self.deg
         pends = self.pend
+        synced = self._synced
+        if mark < synced:
+            # the view counts vertices, so an arc's head is heads[e], not its in-port
+            placed = self._placed
+            vertex_heads = self.g.heads
+            for e in trail[mark:synced]:
+                placed[tails[e]] -= 1
+                placed[vertex_heads[e]] -= 1
+            self._synced = mark
         while len(trail) > mark:
             e = trail.pop()
             u = tails[e]
@@ -366,8 +360,6 @@ class PartialState:
                 pend = pends[comp]
                 pend[eu] = u
                 pend[saved_b[e]] = v
-        if mark < self._synced:
-            self._synced = mark
         self.invalid = False
 
     # -- queries --------------------------------------------------------
@@ -491,9 +483,8 @@ class PartialState:
             assert max(deg) <= self.capacity, "degree bound violated"
             self._check_structure(comp, [(g.tails[e], g.heads[e]) for e in edges])
         placed = [4] + [0] * n
-        unit = 2 // self.capacity
         for e in self.trail:
-            placed[g.tails[e]] += unit
+            placed[g.tails[e]] += 1
             placed[g.heads[e]] += 1
         assert list(self.placed) == placed, "placed-edge counters drifted"
 

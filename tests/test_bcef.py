@@ -144,24 +144,12 @@ def test_select_prefers_minimum_free_degree(feasible6_union):
     assert len(cands) == 2
 
 
-def test_select_directed_prefers_fixed_incidence(rigid6_union):
-    # Selection is defined on states a cascade has closed: fixing one copy
-    # of the doubled arc (2,3) forces the other, which fills vertex 2's
-    # out-port and vertex 3's in-port and leaves every other arc free.
-    g = rigid6_union
-    state = PartialState(g)
-    assert chain_fix(state, edge_id(g, 2, 3), Z, g) is OK
-    assert state.counts == [1, 1]
-    # vertex 3 has two fixed in-arcs and a free out-port, so it beats vertex
-    # 1, which has no fixed arcs; its out-arcs ascend by head
-    assert select_branch_edge(state, g) == (3, [edge_id(g, 3, 4), edge_id(g, 3, 5)])
-
-
-def test_select_none_when_everything_fixed(rigid6_union):
-    state = PartialState(rigid6_union)
+def test_select_none_when_everything_fixed(feasible6_union):
+    state = PartialState(feasible6_union)
     for e in range(12):
         state.fix_edge(e, Z if e < 6 else W)
-    assert select_branch_edge(state, rigid6_union) is None
+    assert state.is_complete()
+    assert select_branch_edge(state, feasible6_union) is None
 
 
 def test_rigid_showcase_is_exact_negative(rigid6, rigid6_union):

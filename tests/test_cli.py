@@ -311,3 +311,29 @@ def test_cli_import_leaves_multiprocessing_unloaded():
             "sys.exit('concurrent.futures.process' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "gen", "bench", "verify"])
+def test_closed_stdout_exits_141_quietly(tmp_path, rigid6_file, command):
+    # 1 means NONE or REFUTED, so a reader that closes the pipe early, as
+    # ``| head -1`` does, must not turn a verified certificate into exit 1
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("s NONE\nt 0 0 0\n")
+    argv = {
+        "solve": [rigid6_file],
+        "gen": ["--n", "6", "--mode", "undirected", "--out", tmp_path / "gen"],
+        "bench": ["--n", "6", "--count", "2"],
+        "verify": [rigid6_file, cert_path],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamdecomp.cli", command, *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
