@@ -23,7 +23,7 @@ for e in state.trail:
     print(f"  arc {(g.tails[e], g.heads[e])} -> {'zw'[state.assignment[e]]}")
 
 e12 = next(e for e in range(g.num_edges) if (g.tails[e], g.heads[e]) == (1, 2))
-ring = g.rings[g.ring_of[e12]]
+ring = next(r for r in g.rings if e12 in r)
 print(f"\nring of (1,2), x-arcs and y-arcs alternating ({len(ring)} arcs):")
 print("  " + " ".join(f"{(g.tails[e], g.heads[e])}" for e in ring))
 mark = len(state.trail)

@@ -10,22 +10,23 @@ edge at most once, and leave all performed fixes on the trail so the caller
 can undo to a mark after a failure. The cascade, ``chain_fix``, lives in
 ``state.py`` next to ``fix_edge``, whose checks it performs in place; one
 push step, the free edges at each port a fix filled, serves both modes. It
-is imported here, so ``bcef.chain_fix`` names it too.
+and ``walk_ring`` are imported here, so ``bcef`` names them too.
 
 A directed cascade stays on one ring of the union (see ``UnionMultigraph``):
 from a free ring it fixes exactly that ring, x's arcs into one component and
 y's into the other, so each directed decision decides one ring. Directed
 search branches on the longest undecided ring, offering its first x-arc,
-then the y-arc at the same out-port. Undirected search branches at the
-vertex ``select_branch_edge`` picks, among the free edges at its port.
+then the y-arc at the same out-port, and cascades with ``walk_ring``, the
+queue's cascade from a free ring's first x-arc without the queue. Undirected
+search branches at the vertex ``select_branch_edge`` picks, among the free
+edges at its port, and cascades with ``chain_fix``; ``preprocess_parallel``
+uses ``chain_fix`` in both modes.
 
 ``take(e)`` cascades e into z, and ``refute(e)`` cascades e into w once its
 z subtree has failed. A candidate that an earlier cascade already put in z
 is taken without a move and cannot be refuted, so its failure closes the
-node; one already in w is skipped. The moves call ``chain_fix`` directly.
-The invariant scans, ``PartialState.check_invariants`` and
-``check_propagation_closure``, are never run by the search; tests run them
-after every cascade.
+node; one already in w is skipped. The search never runs the invariant
+scans; tests run them after every cascade that does not fail.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .state import (
     SolveLimits,
     chain_fix,
     solve,
+    walk_ring,
 )
 
 
@@ -119,7 +121,14 @@ def _moves(state):
         # node decides one nontrivial ring: the longest undecided one (ties in
         # table order), at its first out-port, x's arc into z first, then y's.
         rings = sorted((r for r in g.rings if len(r) > 2), key=len, reverse=True)
-        branches = [g.ports[g.tails[r[0]]] for r in rings]
+        branches = [r[:2] for r in rings]
+        ring_at = {r[0]: r for r in rings}
+
+        def cascade(e, comp):
+            # Only a free ring's first x-arc gets here: expand offers r[:2],
+            # and the y-arc r[1] is taken only after refute(r[0]) has decided
+            # the ring, which leaves r[1] fixed.
+            return walk_ring(state, ring_at[e], comp, g)
 
         def expand():
             for cands in branches:
@@ -128,6 +137,9 @@ def _moves(state):
             return None
     else:
         branches = None
+
+        def cascade(e, comp):
+            return chain_fix(state, e, comp, g)
 
         def expand():
             sel = select_branch_edge(state, g)
@@ -141,12 +153,12 @@ def _moves(state):
         # that cycle z makes the choice branch-free. Directed, the edge is the
         # longest ring's first x-arc, undirected the first free edge.
         e = assignment.index(FREE) if branches is None else branches[0][0]
-        return chain_fix(state, e, Z, g)
+        return cascade(e, Z)
 
     def take(e):
         a = assignment[e]
         if a == FREE:
-            r = chain_fix(state, e, Z, g)
+            r = cascade(e, Z)
             return OK if r is COMPLETES_COMPONENT else r
         # an earlier cascade placed e already: in z the child needs no move,
         # in w there is nothing to try
@@ -155,21 +167,8 @@ def _moves(state):
     def refute(e):
         a = assignment[e]
         if a == FREE:
-            return chain_fix(state, e, W, g)
+            return cascade(e, W)
         # already placed: in w the alternative holds, in z it contradicts
         return OK if a == W else CONFLICT
 
     return start, expand, take, refute
-
-
-def check_propagation_closure(state: PartialState, g: UnionMultigraph):
-    """Assert no forced assignment was left behind by a cascade."""
-    assignment = state.assignment
-    for comp in (Z, W):
-        deg = state.deg[comp]
-        for p, edges in enumerate(g.ports):
-            if deg[p] == state.capacity:
-                for e in edges:
-                    assert assignment[e] != FREE, (
-                        f"port {p}: at capacity in component {comp} with a free edge"
-                    )

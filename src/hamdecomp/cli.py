@@ -4,7 +4,9 @@ Exit codes for ``solve``: 0 decomposed, 1 none exists, 2 timed out, 64 input
 error. For ``verify``: 0 verified, 1 refuted, 64 input error. All usage and
 parse problems exit 64 so that 2 stays reserved for timeouts. Every command
 exits 141, as a shell reports a death by SIGPIPE, when its stdout is closed
-before it has written everything, as in ``hamdecomp bench ... | head -1``.
+before it has written everything, as in ``hamdecomp bench ... | head -1``,
+and 64 with one ``error: cannot write ...`` line when a write to stdout or to
+an output file fails, as on a full disk.
 """
 
 from __future__ import annotations
@@ -196,27 +198,27 @@ def _cmd_bench(args) -> int:
         for k in range(args.count)
         for algo in algos
     ]
-    try:
-        out = open(args.csv, "w", newline="") if args.csv else None
-    except OSError as exc:
-        raise HamdecompError(f"cannot write {args.csv}: {exc}") from None
-    writer = csv.DictWriter(out, fieldnames=CSV_HEADER) if out else None
-    if writer:
-        writer.writeheader()
-        out.flush()
     rows = []
     try:
-        for row in map(functools.partial(_bench_row, limits), tasks):
-            rows.append(row)
+        out = open(args.csv, "w", newline="") if args.csv else None
+        try:
+            writer = csv.DictWriter(out, fieldnames=CSV_HEADER) if out else None
             if writer:
-                writer.writerow(row)
+                writer.writeheader()
                 out.flush()
-    except KeyboardInterrupt:
-        # keep whatever completed; the CSV is already flushed row by row
-        print(f"interrupted after {len(rows)} of {len(tasks)} runs", file=sys.stderr)
-    finally:
-        if out:
-            out.close()
+            for row in map(functools.partial(_bench_row, limits), tasks):
+                rows.append(row)
+                if writer:
+                    writer.writerow(row)
+                    out.flush()
+        except KeyboardInterrupt:
+            # keep whatever completed; the CSV is already flushed row by row
+            print(f"interrupted after {len(rows)} of {len(tasks)} runs", file=sys.stderr)
+        finally:
+            if out:
+                out.close()  # closes the file even when its flush fails
+    except OSError as exc:
+        raise HamdecompError(f"cannot write {args.csv}: {exc}") from None
     _print_summary(rows)
     return 0
 
@@ -278,12 +280,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BrokenPipeError:
-        # The reader went away. Point stdout at devnull so that the flush at
-        # interpreter exit does not fail on the same pipe again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # every other write the commands make reports its own failure, so
+        # this is stdout, as on a full disk
+        _drop_stdout()
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
+
+def _drop_stdout():
+    """Point stdout at devnull, so that the flush at interpreter exit does
+    not fail on the same pipe or file again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -73,14 +73,13 @@ class UnionMultigraph:
     back to the first. Every port holds two arcs of one ring, the vertices a
     ring's x-arcs leave make up one cycle of pi = y^-1 x, and the 2-rings are
     the parallel pairs. ``rings`` lists them as tuples of arc ids, each
-    from its lowest x-arc id and in that order, and ``ring_of`` gives each
-    arc's index in ``rings``. An undirected union has no rings: ``rings`` is
-    empty and ``ring_of`` None.
+    from its lowest x-arc id and in that order. An undirected union has no
+    rings: ``rings`` is empty.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles", "rings", "ring_of")
+    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles", "rings")
 
-    def __init__(self, n, mode, tails, heads, head_port, ports, cycles, rings=(), ring_of=None):
+    def __init__(self, n, mode, tails, heads, head_port, ports, cycles, rings=()):
         self.n = n
         self.mode = mode
         self.tails = tails
@@ -89,7 +88,6 @@ class UnionMultigraph:
         self.ports = ports
         self.cycles = cycles
         self.rings = rings
-        self.ring_of = ring_of
 
     @property
     def num_edges(self) -> int:
@@ -147,25 +145,21 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
     x_at_head = [0] * n + [arriving[px[v]] for v in heads[n:]]
     step = [x_at_head[b] for b in y_at_tail]
     rings = []
-    x_ring = [-1] * n
+    seen = bytearray(n)  # per x-arc, whether a ring holds it yet
     for first in range(n):
-        if x_ring[first] >= 0:
+        if seen[first]:
             continue
-        r = len(rings)
         xs = []
         a = first
-        while x_ring[a] < 0:
-            x_ring[a] = r
+        while not seen[a]:
+            seen[a] = 1
             xs.append(a)
             a = step[a]
         ring = xs * 2
         ring[::2] = xs
         ring[1::2] = [y_at_tail[a] for a in xs]
         rings.append(tuple(ring))
-    # y's arc leaving v shares its ring with x's arc leaving v
-    ring_of = (*x_ring, *[x_ring[px[v]] for v in y.vertices])
-    return UnionMultigraph(n, x.mode, tails, heads, head_port, ports, (x, y),
-                           tuple(rings), ring_of)
+    return UnionMultigraph(n, x.mode, tails, heads, head_port, ports, (x, y), tuple(rings))
 
 
 def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:

@@ -16,8 +16,8 @@ its moves, the same four for both: ``start``, ``expand``, ``take`` and
 ``refute``. The driver refutes every failed move and judges every complete
 state by edge id. The chain-fixing cascade, ``chain_fix``, lives here too,
 because it writes its forced fixes into the state's fields directly, and so
-does ``_walk_ring``, its queue-free path for a directed ring with no fixed
-arc.
+does ``walk_ring``, the same cascade from a free directed ring's first x-arc,
+without the queue.
 """
 
 from __future__ import annotations
@@ -559,20 +559,13 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     in the same order, the same trail entry and the same saved ends, so the
     cascade pays no call per edge. One push step serves both modes: the free
     edges at each port the fix filled, the tail's port first. A directed fix
-    fills both of its ports, and the one free arc left at each is its sibling.
-    So a directed cascade stays on e's ring (see ``UnionMultigraph``), and
-    when the whole ring is free, as in every state the search makes,
-    ``_walk_ring`` fixes it in the queue's order without the queue.
+    fills both of its ports, and the one free arc left at each is its sibling,
+    so a directed cascade stays on e's ring (see ``UnionMultigraph``).
+    ``walk_ring`` is this cascade started from a free ring's first x-arc.
     """
     assignment = state.assignment
     if assignment[e] != FREE:
         raise AlreadyFixedError(f"edge {e} already fixed")
-    ring_of = g.ring_of
-    if ring_of is not None:
-        ring = g.rings[ring_of[e]]
-        # FREE is the least value, so the largest is FREE only if all are
-        if max(map(assignment.__getitem__, ring)) == FREE:
-            return _walk_ring(state, e, comp, ring, g)
     ports = g.ports
     tails = g.tails
     heads = g.head_port
@@ -647,32 +640,25 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     return r
 
 
-def _walk_ring(state: PartialState, e: int, comp: int, ring: tuple, g: UnionMultigraph) -> FixOutcome:
-    """``chain_fix`` of arc e when every arc of its ring is free.
+def walk_ring(state: PartialState, ring: tuple, comp: int, g: UnionMultigraph) -> FixOutcome:
+    """``chain_fix`` of a free ring's first x-arc ``ring[0]`` into comp.
 
-    Every port the ring touches then holds two free arcs of the ring and no
-    other, so the queue would fix the whole ring, and nothing else, in
-    alternating components: e, then one arc each way round the ring in turn,
-    the sibling at e's tail port first, ending at the arc opposite e. The
-    walk fixes them in that order with the queue's cycle checks, trail
-    entries and saved ends, but without its queue, port scan or capacity
-    test, which cannot fail here.
+    Every arc of the ring must be free. Every port the ring touches then
+    holds two free arcs of the ring and no other, so the queue would fix the
+    whole ring, and nothing else, in alternating components: ``ring[0]``, then
+    one arc each way round the ring in turn, the y-arc at its tail port
+    first, ending at the arc opposite it. The walk fixes them in that order
+    with the queue's cycle checks, trail entries and saved ends, but without
+    its queue, port scan or capacity test, which cannot fail here.
     """
-    k = ring.index(e)
-    rot = ring[k:] + ring[:k]
     size = len(ring)
     half = size >> 1
-    ahead = rot[1:half]  # the arcs 1 .. half - 1 steps on from e
-    behind = rot[:half:-1]  # and back from e
-    if e >= state.n:
-        # a ring lists each x-arc before the y-arc at its tail port
-        ahead, behind = behind, ahead
-    order = [e] * size
-    order[1:-1:2] = ahead
-    order[2:-1:2] = behind
-    order[-1] = rot[half]
-    # The arcs 2j - 1 and 2j of the order lie j steps from e, so they go to
-    # comp for even j: a step per arc names its component and that
+    order = [ring[0]] * size
+    order[1:-1:2] = ring[1:half]  # the arcs 1 .. half - 1 steps on from ring[0]
+    order[2:-1:2] = ring[:half:-1]  # and back from it
+    order[-1] = ring[half]
+    # The arcs 2j - 1 and 2j of the order lie j steps from ring[0], so they go
+    # to comp for even j: a step per arc names its component and that
     # component's endpoint map and degrees.
     other = 1 - comp
     near = (comp, state.pend[comp], state.deg[comp])

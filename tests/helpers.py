@@ -9,27 +9,45 @@ from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT
 def solve_bcef_validated(g, x, y, limits=None):
     """``solve_bcef`` with full invariant scans after every cascade that does
     not fail: ``PartialState.check_invariants`` and
-    ``bcef.check_propagation_closure``, which raise AssertionError on a
-    violation.
+    ``check_propagation_closure``, which raise AssertionError on a violation.
 
-    ``preprocess_parallel`` and the search's moves both reach the cascade
-    through the module global ``bcef.chain_fix``, so a wrapper set there sees
-    every cascade; the original is restored on return.
+    The solver reaches its cascades through the module globals
+    ``bcef.chain_fix`` (preprocessing, and undirected search) and
+    ``bcef.walk_ring`` (directed search), so wrappers set on both see every
+    cascade; the originals are restored on return.
     """
-    cascade = bcef.chain_fix
+    originals = {name: getattr(bcef, name) for name in ("chain_fix", "walk_ring")}
 
-    def checked(state, e, comp, g):
-        r = cascade(state, e, comp, g)
-        if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-            state.check_invariants()
-            bcef.check_propagation_closure(state, g)
-        return r
+    def checked(cascade):
+        def run(state, *args):
+            r = cascade(state, *args)
+            if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
+                state.check_invariants()
+                check_propagation_closure(state, state.g)
+            return r
+        return run
 
-    bcef.chain_fix = checked
+    for name, cascade in originals.items():
+        setattr(bcef, name, checked(cascade))
     try:
         return bcef.solve_bcef(g, x, y, SolveLimits() if limits is None else limits)
     finally:
-        bcef.chain_fix = cascade
+        for name, cascade in originals.items():
+            setattr(bcef, name, cascade)
+
+
+def check_propagation_closure(state, g):
+    """Assert no forced assignment was left behind by a cascade: no port at
+    capacity in a component still holds a free edge."""
+    assignment = state.assignment
+    for comp in (Z, W):
+        deg = state.deg[comp]
+        for p, edges in enumerate(g.ports):
+            if deg[p] == state.capacity:
+                for e in edges:
+                    assert assignment[e] != FREE, (
+                        f"port {p}: at capacity in component {comp} with a free edge"
+                    )
 
 
 def scripted_roundtrip(g, seed, steps=60):

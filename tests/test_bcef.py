@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import helpers
 from hamdecomp import (
     AlreadyFixedError,
     HamCycle,
@@ -13,9 +14,11 @@ from hamdecomp import (
     SolveStatus,
     W,
     Z,
+    bcef,
     build_union,
     chain_fix,
     decomposition_problems,
+    gen_instance,
     is_valid_decomposition,
     preprocess_parallel,
     second_decomposition_exists,
@@ -23,7 +26,7 @@ from hamdecomp import (
     solve_bcef,
     solve_bsp,
 )
-from hamdecomp.state import COMPLETES_COMPONENT, FREE, OK
+from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, FREE, OK
 from helpers import solve_bcef_validated
 from strategies import cycle_pairs
 from test_state import edge_id
@@ -236,3 +239,44 @@ def test_double_bridge_verdicts_match_oracle(n):
                 g = build_union(a, b)
                 r = solve_bcef_validated(g, a, b)
                 assert (r.status is SolveStatus.DECOMPOSED) == second_decomposition_exists(g, a, b)
+
+
+@pytest.mark.parametrize("instance", ["rigid6", "gen(8, 9)", "db(12, 2) seed 2", "db(12, 2) seed 3"])
+def test_validated_directed_solve_scans_after_every_walk(monkeypatch, rigid6, instance):
+    """Directed search cascades through ``walk_ring``, not ``chain_fix``, so
+    the validated solve wraps both: both invariant scans run right after
+    every walk that does not fail, none after one that does, and at least
+    one walk succeeds."""
+    if instance == "rigid6":
+        x, y = rigid6.x, rigid6.y
+    elif instance == "gen(8, 9)":
+        inst = gen_instance(8, Mode.DIRECTED, 9)
+        x, y = inst.x, inst.y
+    else:
+        x, y = _double_bridge_pair(12, 2, int(instance[-1]))
+    events = []
+
+    def logged(fn, event=None):
+        def run(*args):
+            r = fn(*args)
+            events.append(r if event is None else event)
+            return r
+        return run
+
+    monkeypatch.setattr(bcef, "walk_ring", logged(bcef.walk_ring))
+    monkeypatch.setattr(PartialState, "check_invariants",
+                        logged(PartialState.check_invariants, "invariants"))
+    monkeypatch.setattr(helpers, "check_propagation_closure",
+                        logged(helpers.check_propagation_closure, "closure"))
+    solve_bcef_validated(build_union(x, y), x, y)
+    walks = 0
+    for i, r in enumerate(events):
+        if isinstance(r, str):
+            continue
+        after = events[i + 1:i + 3]
+        if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+            assert after[:1] != ["invariants"]
+        else:
+            assert after == ["invariants", "closure"]
+            walks += 1
+    assert walks >= 1

@@ -1,9 +1,9 @@
 """The chain-fixing cascade against the cascade built on ``fix_edge``.
 
 ``chain_fix`` performs each forced fix in place instead of calling
-``fix_edge``, and when every arc of a directed arc's ring is free it walks
-the ring without a queue. ``_reference_chain_fix`` is the cascade it
-replaced, one ``fix_edge`` call per forced fix and a loop over both edges of
+``fix_edge``, and ``walk_ring`` fixes a free directed ring from its first
+x-arc without a queue. ``_reference_chain_fix`` is the cascade they
+replace, one ``fix_edge`` call per forced fix and a loop over both edges of
 every port a fix fills. Run side by side on two states, the two must return
 the same outcome and leave the same state, trail order, ``edges_fixed`` and
 invalid flag after every call, on success and on failure.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hamdecomp
 from hamdecomp import AlreadyFixedError, FREE, Mode, PartialState, W, Z, build_union, chain_fix
-from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, OK
+from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, OK, walk_ring
 from strategies import cycle_pairs
 
 
@@ -132,50 +132,51 @@ def test_cascades_from_every_edge_match_reference(mode):
                     _same(kernel, reference)
 
 
-def test_ring_walk_matches_reference_on_search_states(monkeypatch):
+def test_ring_walk_matches_reference_on_search_states():
     """The states the search makes, each reached by successful cascades from
-    free arcs, leave every ring fixed or free, so a cascade from any free arc
-    takes the ring walk. Cascade every free arc into each component and
-    compare with the queue built on ``fix_edge``."""
+    free arcs, leave every ring fixed or free. From each such state, walk
+    every free nontrivial ring into each component and compare with the
+    queue built on ``fix_edge`` cascading the ring's first x-arc."""
     walks = []
-    walk = hamdecomp.state._walk_ring
-
-    def counted(*args):
-        r = walk(*args)
-        walks.append(r)
-        return r
-
-    monkeypatch.setattr(hamdecomp.state, "_walk_ring", counted)
-    cascades = 0
     for n in range(3, 13):
-        for seed in range(6):
+        for seed in range(30):
             inst = hamdecomp.gen_instance(n, Mode.DIRECTED, seed)
             g = build_union(inst.x, inst.y)
             rng = random.Random(seed)
             kernel = PartialState(g)
             reference = PartialState(g)
+            rings = []
+            for ring in g.rings:
+                if len(ring) > 2:
+                    rings.append(ring)
+                else:
+                    # a parallel pair, split either way as preprocessing would
+                    comp = rng.choice((Z, W))
+                    chain_fix(kernel, ring[0], comp, g)
+                    _reference_chain_fix(reference, ring[0], comp, g)
+            _same(kernel, reference)
             while True:
                 mark = len(kernel.trail)
-                free = [e for e in range(g.num_edges) if kernel.assignment[e] == FREE]
                 moves = []
-                for e in free:
+                for ring in rings:
+                    if kernel.assignment[ring[0]] != FREE:
+                        continue
                     for comp in (Z, W):
-                        r = chain_fix(kernel, e, comp, g)
-                        assert _reference_chain_fix(reference, e, comp, g) is r
+                        r = walk_ring(kernel, ring, comp, g)
+                        assert _reference_chain_fix(reference, ring[0], comp, g) is r
                         _same(kernel, reference)
-                        cascades += 1
+                        walks.append(r)
                         if r is OK or r is COMPLETES_COMPONENT:
-                            moves.append((e, comp))
+                            moves.append((ring, comp))
                         kernel.undo_to(mark)
                         reference.undo_to(mark)
                 if not moves:
                     break
-                e, comp = rng.choice(moves)
-                chain_fix(kernel, e, comp, g)
-                _reference_chain_fix(reference, e, comp, g)
-                cascades += 1
+                ring, comp = rng.choice(moves)
+                walk_ring(kernel, ring, comp, g)
+                _reference_chain_fix(reference, ring[0], comp, g)
                 _same(kernel, reference)
-    assert len(walks) == cascades > 1000
+    assert len(walks) > 1000
     assert set(walks) == {OK, COMPLETES_COMPONENT, CLOSES_NON_HAM_CYCLE}
 
 

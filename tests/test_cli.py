@@ -313,6 +313,32 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["solve", "gen", "bench", "verify", "bench --csv"])
+def test_failed_write_exits_64_with_one_error_line(tmp_path, rigid6_file, command):
+    # /dev/full takes no byte: a write there fails as on a full disk, and must
+    # not read as exit 1, NONE or REFUTED
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("s NONE\nt 0 0 0\n")
+    argv = {
+        "solve": ["solve", rigid6_file],
+        "gen": ["gen", "--n", "6", "--mode", "undirected", "--out", tmp_path / "gen"],
+        "bench": ["bench", "--n", "5", "--count", "2"],
+        "verify": ["verify", rigid6_file, cert_path],
+        "bench --csv": ["bench", "--n", "5", "--count", "2", "--csv", "/dev/full"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamdecomp.cli", *map(str, argv)],
+            stdout=full, stderr=subprocess.PIPE, env=env,
+        )
+    assert proc.returncode == 64
+    assert b"Traceback" not in proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), lines
+
+
 @pytest.mark.parametrize("command", ["solve", "gen", "bench", "verify"])
 def test_closed_stdout_exits_141_quietly(tmp_path, rigid6_file, command):
     # 1 means NONE or REFUTED, so a reader that closes the pipe early, as

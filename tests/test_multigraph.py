@@ -216,9 +216,8 @@ def test_directed_rings_are_the_alternating_cycles(pair, kind, k):
         y = HamCycle(vs[k:] + vs[:k], Mode.DIRECTED)
     g = build_union(x, y)
     rings = g.rings
-    # every arc in exactly one ring, which ring_of names
+    # every arc in exactly one ring
     assert sorted(e for ring in rings for e in ring) == list(range(2 * n))
-    assert all(g.ring_of[e] == r for r, ring in enumerate(rings) for e in ring)
     # each ring from its lowest x-arc, in that order; x- and y-arcs alternate
     assert [ring[0] for ring in rings] == sorted(min(ring) for ring in rings)
     for ring in rings:
@@ -238,4 +237,3 @@ def test_directed_rings_are_the_alternating_cycles(pair, kind, k):
 def test_undirected_union_has_no_rings(pair):
     g = build_union(*pair)
     assert g.rings == ()
-    assert g.ring_of is None
