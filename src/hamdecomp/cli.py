@@ -168,13 +168,19 @@ def _bench_row(limits, task):
     }
 
 
-def _parse_list(raw, allowed, what):
+def _parse_list(raw, allowed, what, convert=str):
+    """The comma-separated values of one ``bench`` option, converted; a value
+    listed twice would be solved and counted twice, so it is an error."""
     values = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not values:
         raise HamdecompError(f"empty {what} list")
     for v in values:
         if allowed is not None and v not in allowed:
             raise HamdecompError(f"unknown {what} {v!r}")
+    values = [convert(v) for v in values]
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise HamdecompError(f"duplicate {what} {v}")
     return values
 
 
@@ -182,7 +188,7 @@ def _cmd_bench(args) -> int:
     modes = _parse_list(args.mode, ("directed", "undirected"), "mode")
     algos = _parse_list(args.algo, ("bsp", "bcef"), "algorithm")
     try:
-        sizes = [int(v) for v in _parse_list(args.n, None, "size")]
+        sizes = _parse_list(args.n, None, "size", int)
     except ValueError:
         raise HamdecompError(f"--n expects integers, got {args.n!r}") from None
     if any(n < 3 for n in sizes):

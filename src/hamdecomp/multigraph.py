@@ -167,16 +167,18 @@ def parallel_edge_pairs(g: UnionMultigraph) -> list[tuple[int, int]]:
 
     Each input cycle is simple, so multiplicities never exceed two and every
     doubled pair couples one edge of each cycle: x's edge (ids below n), which
-    is the lower id, and y's. The y-copy of an x-edge shares its tail port,
-    where y's edges follow x's: one of each directed, two undirected.
+    is the lower id, and y's. A directed union's doubled pairs are its
+    2-rings, already in this order. In an undirected union the y-copy of an
+    x-edge shares its tail port, where y's two edges follow x's two.
     """
+    if g.mode is Mode.DIRECTED:
+        return [ring for ring in g.rings if len(ring) == 2]
     n = g.n
     tails = g.tails
     heads = g.heads
     ports = g.ports
-    first_y = 1 if g.mode is Mode.DIRECTED else 2
     return [(a, b) for a, t, h in zip(range(n), tails, heads)
-            for b in ports[t][first_y:] if heads[b] == h]
+            for b in ports[t][2:] if heads[b] == h]
 
 
 def cycle_edge_multiset(c: HamCycle) -> Counter:

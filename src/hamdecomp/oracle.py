@@ -1,11 +1,13 @@
 """Exhaustive reference enumerator of Hamiltonian decompositions.
 
 Certifies the solvers at small sizes and generates ground-truth fixtures. The
-enumeration is a plain depth-first Z/W assignment over the 2n edges with only
-the state engine's degree and cycle pruning: no propagation, no branching
-heuristics, no difference check, and no early exit. Edge 0 is pinned to the
-first component (pure naming symmetry); the residual duplicates from swapping
-parallel copies collapse under canonicalization.
+enumeration is a plain depth-first Z/W assignment over the 2n edges on its own
+small state, not the solvers' search engine, with only degree and path-end
+pruning: a port never holds more edges of a component than it has room for,
+and no edge closes a cycle of fewer than n edges. There is no propagation, no
+branching heuristic, no difference check and no early exit. Edge 0 is pinned
+to the first component (pure naming symmetry); the residual duplicates from
+swapping parallel copies collapse under canonicalization.
 
 The edges are assigned in a static *vertex-completion order*, computed once
 before the search: start at edge 0's tail, list its incident edges in
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchedInstancesError, TooLargeError
-from .multigraph import HamCycle, UnionMultigraph
-from .state import CLOSES_NON_HAM_CYCLE, CONFLICT, W, Z, PartialState
+from .multigraph import HamCycle, Mode, UnionMultigraph
+from .state import W, Z
 
 MAX_ORACLE_N = 14
 
@@ -76,33 +78,91 @@ def enumerate_decompositions(g: UnionMultigraph) -> DecompositionSet:
     """Every unordered pair of edge-disjoint Hamiltonian cycles covering g."""
     if g.n > MAX_ORACLE_N:
         raise TooLargeError(f"exhaustive enumeration capped at n={MAX_ORACLE_N}, got n={g.n}")
-    state = PartialState(g)
     order = _vertex_completion_order(g)  # starts with edge 0
-    found = set()
-    fix_edge = state.fix_edge
-    fix_edge(0, Z)
-    _assign(state, fix_edge, order, 1, found)
-    return DecompositionSet(tuple(sorted(found)), len(found))
+    run = _Enumeration(g, order)
+    _assign(run, 0)
+    return DecompositionSet(tuple(sorted(run.found)), len(run.found))
 
 
-def _assign(state, fix_edge, order, i, found):
-    """Both components for edge order[i], then the rest; complete states into found.
+class _Enumeration:
+    """The enumeration's own search state, one level per edge of ``order``.
+
+    Per level, the edge's two ports (see ``UnionMultigraph``) and its endpoint
+    pair. Per component, the edges fixed at each port, and ``pend``, which
+    pairs the two open ports at the ends of every fixed path: a lone
+    undirected vertex is its own pair, a lone directed vertex the pair of its
+    out-port v and in-port n + v. An edge that joins the two ends of one path
+    closes a cycle. ``comps`` holds each assigned level's component.
+    """
+
+    __slots__ = ("n", "capacity", "ports", "pairs", "deg", "pend", "counts", "comps", "found")
+
+    def __init__(self, g: UnionMultigraph, order: list[int]):
+        n = self.n = g.n
+        self.ports = [(g.tails[e], g.head_port[e]) for e in order]
+        self.pairs = [(g.tails[e], g.heads[e]) for e in order]
+        size = len(g.ports)
+        if g.mode is Mode.DIRECTED:
+            ends = [0, *range(n + 1, size), *range(1, n + 1)]
+            self.capacity = 1
+        else:
+            ends = list(range(size))
+            self.capacity = 2
+        self.deg = ([0] * size, [0] * size)
+        self.pend = (ends, ends[:])
+        self.counts = [0, 0]
+        self.comps = [Z] * len(order)
+        self.found = set()
+
+
+def _assign(run, i):
+    """Both components for level i (level 0, edge 0, Z only), then the rest;
+    each complete assignment into ``run.found``.
 
     A module-level function rather than a closure: a nested function that
     calls itself is a reference cycle, which would keep every call's state
     alive until the cyclic garbage collector ran.
     """
-    if i == len(order):
-        if state.is_complete():
-            found.add(_canonical_pair(state.component_pairs(Z), state.component_pairs(W)))
+    ports = run.ports
+    if i == len(ports):
+        # all 2n edges are placed and the port caps hold at most n edges of
+        # a component, so both hold n; with no short cycle, both are
+        # Hamiltonian
+        pairs = run.pairs
+        comps = run.comps
+        z = [p for p, c in zip(pairs, comps) if c == Z]
+        w = [p for p, c in zip(pairs, comps) if c == W]
+        run.found.add(_canonical_pair(z, w))
         return
-    e = order[i]
-    mark = len(state.trail)
-    for comp in (Z, W):
-        r = fix_edge(e, comp)
-        if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-            _assign(state, fix_edge, order, i + 1, found)
-        state.undo_to(mark)
+    u, v = ports[i]
+    capacity = run.capacity
+    counts = run.counts
+    for c in (Z, W) if i else (Z,):
+        deg = run.deg[c]
+        if deg[u] == capacity or deg[v] == capacity:
+            continue
+        pend = run.pend[c]
+        eu = pend[u]
+        ev = pend[v]
+        closes = eu == v
+        if closes:
+            # u and v are the two ends of one fixed path
+            if counts[c] + 1 < run.n:
+                continue
+        else:
+            pend[eu] = ev
+            pend[ev] = eu
+        deg[u] += 1
+        deg[v] += 1
+        counts[c] += 1
+        run.comps[i] = c
+        _assign(run, i + 1)
+        deg[u] -= 1
+        deg[v] -= 1
+        counts[c] -= 1
+        if not closes:
+            pend[eu] = u
+            pend[ev] = v
 
 
 def second_decomposition_exists(g: UnionMultigraph, x: HamCycle, y: HamCycle) -> bool:

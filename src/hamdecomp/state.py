@@ -222,7 +222,7 @@ class PartialState:
                      entries pushed since ``_synced``, the length of the trail
                      prefix it holds, and ``undo_to`` uncounts the entries of
                      that prefix it pops. A state whose view is never read,
-                     as in bsp, the oracle and directed bcef, pays nothing.
+                     as in bsp and directed bcef, pays nothing.
     """
 
     __slots__ = (

@@ -160,6 +160,24 @@ def test_bench_rejects_empty_sizes(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--n", "5,5", "duplicate size 5"),
+    ("--n", "05,5", "duplicate size 5"),
+    ("--mode", "directed,directed", "duplicate mode directed"),
+    ("--algo", "bcef,bcef", "duplicate algorithm bcef"),
+])
+def test_bench_rejects_a_repeated_value(capsys, tmp_path, option, value, message):
+    # a repeated value would be solved twice and counted twice in the table
+    csv_path = tmp_path / "out.csv"
+    argv = {"--n": "5", option: value}
+    code, out, err = run(capsys, "bench", *[t for kv in argv.items() for t in kv],
+                         "--count", "1", "--csv", csv_path)
+    assert code == 64
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not csv_path.exists()
+
+
 def test_verify_accepts_solver_output(capsys, feasible6_file, tmp_path):
     code, out, _ = run(capsys, "solve", feasible6_file, "--algo", "bcef")
     assert code == 0

@@ -229,7 +229,7 @@ def test_directed_rings_are_the_alternating_cycles(pair, kind, k):
             a, b, c = ring[i], ring[i + 1], ring[(i + 2) % len(ring)]
             assert g.tails[a] == g.tails[b]
             assert g.heads[b] == g.heads[c]
-    assert [ring for ring in rings if len(ring) == 2] == parallel_edge_pairs(g)
+    assert [ring for ring in rings if len(ring) == 2] == _setdefault_parallel_pairs(g)
     assert sum(len(ring) > 2 for ring in rings) == _nontrivial_pi_cycles(x, y)
 
 
