@@ -2,8 +2,10 @@
 """Enumerate every Hamiltonian decomposition of some small unions.
 
 The exhaustive oracle assigns each edge to one of the two components with
-degree and cycle pruning only; it is the ground truth the solvers are tested
-against. Capped at n <= 14.
+degree and cycle pruning only, and reaches each decomposition once: the lower
+copy of every shared edge and the lowest unshared edge go to the first
+component. It is the ground truth the solvers are tested against. Capped at
+n <= 14.
 
 The edges are assigned in a fixed vertex-completion order: start at edge 0's
 tail, then repeatedly move to the vertex with the most edges already listed

@@ -42,6 +42,10 @@ EXIT_REFUTED = 1
 EXIT_INPUT_ERROR = 64
 EXIT_BROKEN_PIPE = 141
 
+# the largest size gen and bench accept: far above any size a solve finishes
+# on, and small enough that generating an instance fits in memory
+MAX_N = 1 << 20
+
 _SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
 
 CSV_HEADER = ["mode", "n", "seed", "algo", "status", "elapsed_ms", "nodes", "edges_fixed"]
@@ -83,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--node-limit", type=_nodes, default=0, metavar="NODES")
 
     p_gen = sub.add_parser("gen", help="generate seeded instance files")
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=int, required=True,
+                       help=f"vertex count, from 3 to {MAX_N}")
     p_gen.add_argument("--mode", choices=("directed", "undirected"), required=True)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -91,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark matrix and write a CSV")
     p_bench.add_argument("--n", required=True, metavar="N1[,N2,...]",
-                         help="comma-separated instance sizes")
+                         help=f"comma-separated sizes, each from 3 to {MAX_N}")
     p_bench.add_argument("--mode", default="undirected", metavar="MODE1[,MODE2]",
                          help="comma-separated modes (directed, undirected)")
     p_bench.add_argument("--algo", default="bcef", metavar="ALGO1[,ALGO2]",
@@ -131,9 +136,15 @@ def _cmd_solve(args) -> int:
     return EXIT_TIMEOUT
 
 
+def _check_size(n: int) -> None:
+    """Reject a size before anything is generated; a huge one would end in a
+    ``MemoryError`` inside ``gen_instance``."""
+    if not 3 <= n <= MAX_N:
+        raise HamdecompError(f"--n must be at least 3 and at most {MAX_N}, got {n}")
+
+
 def _cmd_gen(args) -> int:
-    if args.n < 3:
-        raise HamdecompError(f"--n must be at least 3, got {args.n}")
+    _check_size(args.n)
     if args.count < 1:
         raise HamdecompError(f"--count must be at least 1, got {args.count}")
     mode = Mode(args.mode)
@@ -191,8 +202,8 @@ def _cmd_bench(args) -> int:
         sizes = _parse_list(args.n, None, "size", int)
     except ValueError:
         raise HamdecompError(f"--n expects integers, got {args.n!r}") from None
-    if any(n < 3 for n in sizes):
-        raise HamdecompError("sizes must be at least 3")
+    for n in sizes:
+        _check_size(n)
     if args.count < 1:
         raise HamdecompError(f"--count must be at least 1, got {args.count}")
 

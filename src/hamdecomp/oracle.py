@@ -5,9 +5,23 @@ enumeration is a plain depth-first Z/W assignment over the 2n edges on its own
 small state, not the solvers' search engine, with only degree and path-end
 pruning: a port never holds more edges of a component than it has room for,
 and no edge closes a cycle of fewer than n edges. There is no propagation, no
-branching heuristic, no difference check and no early exit. Edge 0 is pinned
-to the first component (pure naming symmetry); the residual duplicates from
-swapping parallel copies collapse under canonicalization.
+branching heuristic, no difference check and no early exit.
+
+Two symmetries are broken, so that each decomposition, an unordered pair of
+edge multisets, is reached by exactly one complete assignment:
+
+- *Copy swaps.* An edge shared by x and y has two parallel copies with the
+  same endpoints and ports, and a Hamiltonian cycle holds at most one, so
+  swapping the copies between Z and W gives the same pair. The lower id of
+  each copy pair goes to Z. The oracle finds the copies itself, as two edges
+  with equal endpoints, by the rule ``bcef.preprocess_parallel`` also uses.
+- *Naming.* Swapping Z and W gives the same pair. The lowest edge with no
+  copy goes to Z; it lies in exactly one of the two cycles, so which one is
+  Z is fixed. A union with no such edge is x doubled, with one pair.
+
+Neither loses a pair: any decomposition becomes one that keeps both rules by
+swapping Z and W if the lowest unshared edge is in W, and then the copies of
+each shared edge whose lower id is in W, which leaves that edge in place.
 
 The edges are assigned in a static *vertex-completion order*, computed once
 before the search: start at edge 0's tail, list its incident edges in
@@ -92,15 +106,29 @@ class _Enumeration:
     pairs the two open ports at the ends of every fixed path: a lone
     undirected vertex is its own pair, a lone directed vertex the pair of its
     out-port v and in-port n + v. An edge that joins the two ends of one path
-    closes a cycle. ``comps`` holds each assigned level's component.
+    closes a cycle. ``comps`` holds each assigned level's component, and
+    ``choices`` the components a level may take: Z alone for an edge pinned
+    by one of the two symmetry rules (see the module docstring).
     """
 
-    __slots__ = ("n", "capacity", "ports", "pairs", "deg", "pend", "counts", "comps", "found")
+    __slots__ = ("n", "capacity", "ports", "pairs", "choices", "deg", "pend", "counts",
+                 "comps", "found")
 
     def __init__(self, g: UnionMultigraph, order: list[int]):
         n = self.n = g.n
         self.ports = [(g.tails[e], g.head_port[e]) for e in order]
         self.pairs = [(g.tails[e], g.heads[e]) for e in order]
+        # the lower id of each shared edge's two copies goes to Z, and so
+        # does the lowest edge with no copy; if every edge has one, x and y
+        # are one cycle and edge 0, a lower copy, is already pinned
+        lowest = {}
+        pinned = set()
+        for e, pair in sorted(zip(order, self.pairs)):
+            lo = lowest.setdefault(pair, e)
+            if lo != e:
+                pinned.add(lo)
+        pinned.add(min((e for e in lowest.values() if e not in pinned), default=0))
+        self.choices = [(Z,) if e in pinned else (Z, W) for e in order]
         size = len(g.ports)
         if g.mode is Mode.DIRECTED:
             ends = [0, *range(n + 1, size), *range(1, n + 1)]
@@ -112,12 +140,12 @@ class _Enumeration:
         self.pend = (ends, ends[:])
         self.counts = [0, 0]
         self.comps = [Z] * len(order)
-        self.found = set()
+        self.found = []
 
 
 def _assign(run, i):
-    """Both components for level i (level 0, edge 0, Z only), then the rest;
-    each complete assignment into ``run.found``.
+    """Each of level i's components in turn, then the rest; the pair of each
+    complete assignment, a new one every time, into ``run.found``.
 
     A module-level function rather than a closure: a nested function that
     calls itself is a reference cycle, which would keep every call's state
@@ -132,12 +160,12 @@ def _assign(run, i):
         comps = run.comps
         z = [p for p, c in zip(pairs, comps) if c == Z]
         w = [p for p, c in zip(pairs, comps) if c == W]
-        run.found.add(_canonical_pair(z, w))
+        run.found.append(_canonical_pair(z, w))
         return
     u, v = ports[i]
     capacity = run.capacity
     counts = run.counts
-    for c in (Z, W) if i else (Z,):
+    for c in run.choices[i]:
         deg = run.deg[c]
         if deg[u] == capacity or deg[v] == capacity:
             continue

@@ -14,7 +14,8 @@ from hamdecomp import (
     write_certificate,
     write_instance,
 )
-from hamdecomp.cli import main
+from hamdecomp import cli
+from hamdecomp.cli import MAX_N, main
 from hamdecomp.instances import Certificate
 
 
@@ -92,6 +93,39 @@ def test_gen_rejects_small_n(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--n", 2, "--mode", "undirected", "--out", tmp_path)
     assert code == 64
     assert "at least 3" in err
+
+
+def _never_generated(*args):
+    raise AssertionError("an instance was generated")
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["bench", "--n", "99999999999", "--count", "1"], 99999999999),
+    (["gen", "--n", "99999999999", "--mode", "directed"], 99999999999),
+    (["bench", "--n", f"5,{MAX_N + 1}", "--count", "1"], MAX_N + 1),
+    (["gen", "--n", MAX_N + 1, "--mode", "undirected"], MAX_N + 1),
+    (["bench", "--n", "2", "--count", "1"], 2),
+])
+def test_size_out_of_range_is_an_input_error(capsys, monkeypatch, tmp_path, argv, n):
+    # the size is checked before anything is generated, so a huge one
+    # allocates nothing: before the check it ended in a MemoryError
+    # traceback and exit 1, the code for NONE
+    monkeypatch.setattr(cli, "gen_instance", _never_generated)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert err == f"error: --n must be at least 3 and at most {MAX_N}, got {n}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_help_names_the_largest_size(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"from 3 to {MAX_N}" in capsys.readouterr().out
 
 
 def test_bench_csv_and_summary(capsys, tmp_path):

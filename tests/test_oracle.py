@@ -152,20 +152,70 @@ def _brute_force_census(g):
     return found
 
 
+def moved(x: HamCycle, moves) -> HamCycle:
+    """x after ``moves`` on its vertex sequence, one after another: (i, j)
+    reverses positions i to j - 1 (a segment reversal), and (i, j, k) cuts
+    the sequence into A B C D at i, j and k and joins it as A C B D (a
+    double-bridge move). After one or two moves most edges of the union are
+    shared by both cycles."""
+    seq = list(x.vertices)
+    for move in moves:
+        if len(move) == 2:
+            i, j = move
+            seq[i:j] = seq[i:j][::-1]
+        else:
+            i, j, k = move
+            seq = seq[:i] + seq[j:k] + seq[i:j] + seq[k:]
+    return HamCycle(tuple(seq), x.mode)
+
+
+# moves for the brute-force census, each applied to a seed 0 cycle
+BRUTE_FORCE_MOVES = {
+    5: [((1, 3),), ((1, 2, 4),)],
+    6: [((2, 5),), ((1, 3, 5), (2, 3, 4))],
+    7: [((1, 4), (3, 6)), ((1, 3, 5), (2, 4, 6))],
+    8: [((2, 6),), ((1, 4, 6), (2, 5, 7)), ((1, 3), (5, 7))],
+}
+
+
 @pytest.mark.parametrize("mode", [Mode.UNDIRECTED, Mode.DIRECTED])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_census_matches_brute_force(mode, n):
-    # an independent referee: subsets and cycle walks, no PartialState
-    unions = [build_union(inst.x, inst.y)
-              for inst in (gen_instance(n, mode, seed) for seed in range(6))]
-    doubled = HamCycle(tuple(range(1, n + 1)), mode)
-    unions.append(build_union(doubled, doubled))
+    # an independent referee: subsets and cycle walks, no PartialState;
+    # random pairs up to n = 7, and pairs sharing most edges from n = 5
+    unions = []
+    if n <= 7:
+        unions += [build_union(inst.x, inst.y)
+                   for inst in (gen_instance(n, mode, seed) for seed in range(6))]
+        doubled = HamCycle(tuple(range(1, n + 1)), mode)
+        unions.append(build_union(doubled, doubled))
+    x = gen_instance(n, mode, 0).x
+    unions += [build_union(x, moved(x, moves)) for moves in BRUTE_FORCE_MOVES.get(n, ())]
     for g in unions:
         ds = enumerate_decompositions(g)
-        assert set(ds.decompositions) == _brute_force_census(g)
+        # every pair, each reached once, in sorted order
+        assert list(ds.decompositions) == sorted(_brute_force_census(g))
         assert ds.count == len(ds.decompositions)
 
 
+def census_cycles(mode, n, pair):
+    """The two cycles of a ``CENSUS`` row: ``gen_instance``'s pair when
+    ``pair`` is a seed, else seed 0's x and x after the moves ``pair``."""
+    if isinstance(pair, tuple):
+        x = gen_instance(n, Mode(mode), 0).x
+        return x, moved(x, pair)
+    inst = gen_instance(n, Mode(mode), pair)
+    return inst.x, inst.y
+
+
+def census_id(value):
+    """A test id for a row's moves without spaces; other values keep pytest's."""
+    return str(value).replace(" ", "") if isinstance(value, tuple) else None
+
+
+# (mode, n, seed or moves, count, sha256 of repr(decompositions)); the rows
+# with moves were taken with the oracle that tried both copies of a shared
+# edge in both components, at commit 60333c0
 CENSUS = [
     ("undirected", 9, 0, 3, "6012f0b8ba3902a7209d81084ab0f07aceb493a01eb69b2edb1966eadb238e63"),
     ("undirected", 9, 1, 4, "523068dbcdd2d7e818307d36e0776ca985a6ac4df0de3ea09643b955ed37f8a1"),
@@ -182,6 +232,21 @@ CENSUS = [
     ("undirected", 14, 0, 15, "91f57c56f6ddab9a8a90e96c775fc63d29a8882bc125eaae4931a19ec2ed26d4"),
     ("undirected", 14, 1, 50, "e9ea610452017933d8e797ab84566dd95d42f946d3decd638233b1fa35b3f1c0"),
     ("undirected", 14, 2, 5, "342223ac256e3445589cd1af6a7891308f911e0948af586498f6dc2945897a7f"),
+    ("undirected", 10, ((2, 7),), 1, "fcf3615abb14dd1fe44112ba97187ed01fb7214afa908e5a1d780ffc4ba9928a"),
+    ("undirected", 10, ((1, 4, 8),), 1, "46f927203664588047393394768d06b73f8ac28147a4d6983f3b1f5292f3018a"),
+    ("undirected", 10, ((7, 9), (2, 4)), 2, "a6bd9aa785482f47bf0f3c8fcf79859e4a1632c62eabcf52b130065512d9ff26"),
+    ("undirected", 10, ((2, 3, 5), (2, 5, 6)), 2, "bf2e29b3a261fc876d50f7e88ab19a2b006537893c346b94e2b58a9d5d5b9c15"),
+    ("undirected", 11, ((8, 10), (3, 7)), 2, "2daac3202af3dfc941f1dabb183e6824c2c65aea4092d6f1a7db8e277deb7c94"),
+    ("undirected", 11, ((5, 7, 9), (4, 8, 9)), 2, "0f504e906b2290cf9ebc8dff974e8fc39eac0757ac3f9743ff30f2cc04e29ecd"),
+    ("undirected", 12, ((3, 9),), 1, "b5800f3bd273f1b8fa0511428da168563282656eba17f3a6ead2a7cbfec92c98"),
+    ("undirected", 12, ((2, 6, 10),), 1, "eee01eaa8ef6566b17acd21d610f9f2c5c5e1f1fd8ddd07b600959c39427e1ce"),
+    ("undirected", 12, ((9, 11), (5, 8)), 2, "4aa64ba840a0829ffabb007a5354b77500710aa09519304bd2ed6ba4c821b76a"),
+    ("undirected", 12, ((2, 6, 10), (7, 9, 11)), 3, "e367544dfcdeba06f9e57ab0a62734b71cdf69fd10fdf6dae8971b3bd2ac40fa"),
+    ("undirected", 13, ((10, 12), (6, 8)), 2, "5ca0a99b003fca6e21c0faccef93e54cdc4315c0800ce455972287544d728387"),
+    ("undirected", 13, ((4, 6, 11), (3, 5, 8)), 3, "c459f98e8d3c128e3ec37602502778590aaf0a8e0c6450a7b2ffc2a6f4329fc8"),
+    ("undirected", 14, ((4, 11),), 1, "7e2bec8cab5c3fb8b389d61c1edc2632830276ee3e1f0111c5f5a9c8e2faf774"),
+    ("undirected", 14, ((11, 13), (1, 9)), 2, "3438a8e575067a84468c5c9e9c4c87b4f2582a271817c16c5e02c43da55c770d"),
+    ("undirected", 14, ((8, 10, 12), (4, 5, 6)), 2, "d8f2cd1be1331a2533db0bb39ac1a9fd97ca308f2e4fb84ad0f37511dd344feb"),
     ("directed", 9, 0, 2, "d4b2185384f4305fbc33ad725f6fec1a07680a41e664c0fa08e08743d1930ce5"),
     ("directed", 9, 1, 2, "1994d57dd7b882aca43f35f2195c638cadef8b9ac925ee3314504a9fa02beaec"),
     ("directed", 9, 2, 1, "670cb698d6b9ac18eef1a6032379ec8a11af541d12c7e489502e30e35650ba18"),
@@ -197,19 +262,35 @@ CENSUS = [
     ("directed", 14, 0, 1, "8423c6a5b730c3778d6f13a3e3f222dbbfa84af362a3668b7be8509f59788633"),
     ("directed", 14, 1, 1, "4e88e96963eba3727291ed41a1276506fb47e7d91d0eeaf6fdd74a6bb5b0cfb4"),
     ("directed", 14, 2, 1, "0a779410cac65b89327460942f27d55bd2e1955a827bec33d8f22fa0fb4d0105"),
+    ("directed", 10, ((2, 7),), 1, "a73bc51b3b71e3d7df335051bda9e6ddc0f140af810436fe5adc8ec1ccef779b"),
+    ("directed", 10, ((1, 4, 8),), 1, "33ecd323a511bbd6d404fab1ba457157fc67dfc09194e8729eb015ebdf6f516e"),
+    ("directed", 10, ((7, 9), (4, 6)), 2, "f163ab8f4ae27d2ad3518d7e7d8e06acf95052f254f94ddc97cf361d221899ec"),
+    ("directed", 10, ((6, 8, 9), (2, 5, 8)), 2, "97b072986b44a1c62582f1b05ea2424f5d61dbbadc1a7244462d9f9f80801512"),
+    ("directed", 11, ((3, 5), (8, 10)), 2, "a0a3ff3e76f51d98109716afc94e5eef6be67a2df2338a194731be540757c2d5"),
+    ("directed", 11, ((4, 5, 10), (1, 5, 7)), 2, "689e750ca6f233b372a6a7d89f091bffd36c01d12150aa6b0187ad815265dac7"),
+    ("directed", 12, ((3, 9),), 1, "c1ede40232c24513e94ce32bf5e13aa21bbbc2fe271637e5dadef16dba314b25"),
+    ("directed", 12, ((2, 6, 10),), 1, "c719b73c0f4550c5d539b0b4c936c3a4ae3146f03a127cb1d73e89aa8e20341d"),
+    ("directed", 12, ((7, 9), (2, 5)), 2, "c7356436f9f186c5d1cc7ef36daa4eeb799533516e07f96a7730a9a3ced16e81"),
+    ("directed", 12, ((8, 9, 10), (1, 2, 5)), 2, "6a0c49258a9c586a60716717e93629c7cf8c077271501ef59d0fc05c7dc88567"),
+    ("directed", 13, ((10, 12), (4, 6)), 2, "778a2682aa2caf5e77d550b80932ca8bdca1d3dc47eef9c585fc3a8dfccb1ab1"),
+    ("directed", 13, ((7, 9, 12), (2, 3, 9)), 2, "1b931dfe9b253ea95eebda27a8d3ef49966441882a5f8f82ae4160cd616b1fe3"),
+    ("directed", 14, ((4, 11),), 1, "28d8049be71cf2b28f307043d156d87e142bd5a6ff335682d19de1d7d85f88ed"),
+    ("directed", 14, ((5, 7), (1, 3)), 2, "e4d8533edb66cd63832869bf183556a3de46d3589bc0513d7ae29f863a381896"),
+    ("directed", 14, ((9, 10, 13), (2, 7, 8)), 2, "183eeb1d0665f96b44c1db2d08d1b1e77f8dd71701a98245b6165c0099819116"),
 ]
 
 
-@pytest.mark.parametrize("mode,n,seed,count,digest", CENSUS)
-def test_census_pinned(mode, n, seed, count, digest):
-    """(count, sha256 of repr(decompositions)) of ``gen_instance(n, mode, seed)``.
+@pytest.mark.parametrize("mode,n,pair,count,digest", CENSUS, ids=census_id)
+def test_census_pinned(mode, n, pair, count, digest):
+    """(count, sha256 of repr(decompositions)) of a row's union.
 
-    The values were taken with the edge-id-order enumeration at commit
-    8817e71, before the oracle assigned edges in vertex-completion order, so
-    any change to the order (or the engine under it) must keep every census.
+    The values of the seeded rows were taken with the edge-id-order
+    enumeration at commit 8817e71, before the oracle assigned edges in
+    vertex-completion order, so any change to the order (or the engine under
+    it) must keep every census.
     """
-    inst = gen_instance(n, Mode(mode), seed)
-    ds = enumerate_decompositions(build_union(inst.x, inst.y))
+    x, y = census_cycles(mode, n, pair)
+    ds = enumerate_decompositions(build_union(x, y))
     assert ds.count == count
     assert hashlib.sha256(repr(ds.decompositions).encode()).hexdigest() == digest
 
@@ -218,7 +299,7 @@ def test_census_pinned(mode, n, seed, count, digest):
 @pytest.mark.parametrize("n", [13, 14])
 def test_solvers_agree_with_oracle_at_the_cap(mode, n):
     mismatches = []
-    for seed in range(30):
+    for seed in range(200):
         inst = gen_instance(n, mode, seed)
         g = build_union(inst.x, inst.y)
         expected = second_decomposition_exists(g, inst.x, inst.y)
