@@ -48,7 +48,8 @@ from .state import FREE, W, Z, FixOutcome, PartialState, SolveLimits
 from .verify import decomposition_problems, is_valid_decomposition
 
 # chain_fix, preprocess_parallel, select_branch_edge and FREE are engine
-# internals: importable by name, but not part of the public API.
+# internals, and cycle_edge_multiset a reference the tracer and the demos
+# use: importable by name, but not part of the public API.
 __all__ = [
     "AlreadyFixedError",
     "Certificate",
@@ -77,7 +78,6 @@ __all__ = [
     "Z",
     "build_union",
     "certificate_of",
-    "cycle_edge_multiset",
     "decomposition_problems",
     "enumerate_decompositions",
     "gen_cycle",

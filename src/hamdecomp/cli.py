@@ -208,13 +208,15 @@ def _cmd_bench(args) -> int:
         raise HamdecompError(f"--count must be at least 1, got {args.count}")
 
     limits = SolveLimits(time_budget=args.time_limit, node_budget=args.node_limit)
-    tasks = [
+    # generated as they are solved, so a huge --count costs no memory up front
+    tasks = (
         (mode, n, args.seed + k, algo)
         for mode in modes
         for n in sizes
         for k in range(args.count)
         for algo in algos
-    ]
+    )
+    total = len(modes) * len(sizes) * args.count * len(algos)
     rows = []
     try:
         out = open(args.csv, "w", newline="") if args.csv else None
@@ -230,7 +232,7 @@ def _cmd_bench(args) -> int:
                     out.flush()
         except KeyboardInterrupt:
             # keep whatever completed; the CSV is already flushed row by row
-            print(f"interrupted after {len(rows)} of {len(tasks)} runs", file=sys.stderr)
+            print(f"interrupted after {len(rows)} of {total} runs", file=sys.stderr)
         finally:
             if out:
                 out.close()  # closes the file even when its flush fails

@@ -21,10 +21,6 @@ class SolveStats:
     max_depth: int = 0
     elapsed_ms: float = 0.0  # wall time of the solve, in ms
 
-    def deterministic_fields(self) -> tuple[int, int, int]:
-        """Everything except wall-clock time; equal across reruns."""
-        return (self.nodes, self.edges_fixed, self.max_depth)
-
 
 @dataclass
 class SolveResult:

@@ -67,7 +67,7 @@ class BudgetExceeded(Exception):
 
 
 class BudgetClock:
-    """Node counter plus a wall clock read only every 1024 nodes."""
+    """Node counter plus a wall clock read at every node."""
 
     __slots__ = ("node_budget", "deadline", "nodes")
 
@@ -80,9 +80,8 @@ class BudgetClock:
         self.nodes += 1
         if self.node_budget and self.nodes > self.node_budget:
             raise BudgetExceeded
-        if self.deadline is not None and not (self.nodes & 1023):
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded
 
 
 def solve(g: UnionMultigraph, x: HamCycle, y: HamCycle, limits: SolveLimits,
@@ -206,9 +205,9 @@ class PartialState:
                      ``assignment``
       saved_a, saved_b -- per edge, the far ends of the two paths its fix
                      joined, the pend keys the fix overwrote (0 and 0 when it
-                     closed a cycle); meaningful only while the edge is fixed.
-                     ``snapshot`` shows a trail entry e as
-                     (e, assignment[e], saved_a[e], saved_b[e])
+                     closed a cycle); meaningful only while the edge is fixed,
+                     so a trail entry e is (e, assignment[e], saved_a[e],
+                     saved_b[e]) in full
       edges_fixed -- monotone total of successful fixes (survives undo)
       capacity    -- edges of one component a port holds: 2, directed 1
       deg         -- per component, fixed edges at each port
@@ -369,15 +368,6 @@ class PartialState:
         is equivalent to both being Hamiltonian cycles."""
         return not self.invalid and self.counts[Z] == self.n and self.counts[W] == self.n
 
-    def component_pairs(self, comp: int):
-        tails = self.g.tails
-        heads = self.g.heads
-        return [
-            (tails[e], heads[e])
-            for e in range(self.g.num_edges)
-            if self.assignment[e] == comp
-        ]
-
     def extract_decomposition(self) -> tuple[HamCycle, HamCycle]:
         """The two completed cycles as canonical vertex sequences from vertex 1.
 
@@ -418,7 +408,9 @@ class PartialState:
         """
         if not self.is_complete():
             raise NotCompleteError("difference check needs a complete state")
-        z_counts = Counter(self.component_pairs(Z))
+        tails = self.g.tails
+        heads = self.g.heads
+        z_counts = Counter((tails[e], heads[e]) for e, c in enumerate(self.assignment) if c == Z)
         return z_counts != x_ms and z_counts != y_ms
 
     def differs_from_cycles(self) -> bool:
@@ -458,91 +450,6 @@ class PartialState:
                 e += 1
         except ValueError:
             return True
-
-    # -- debug ----------------------------------------------------------
-
-    def check_invariants(self):
-        """Full-scan consistency check; raises AssertionError on any violation.
-
-        Intended for debug runs and tests, not the hot path.
-        """
-        n = self.n
-        g = self.g
-        assert len(self.trail) == self.counts[Z] + self.counts[W], "trail length mismatch"
-        assert sorted(self.trail) == [e for e in range(g.num_edges) if self.assignment[e] != FREE], (
-            "trail does not hold the fixed edges"
-        )
-        for comp in (Z, W):
-            edges = [e for e in range(g.num_edges) if self.assignment[e] == comp]
-            assert len(edges) == self.counts[comp], "count mismatch"
-            deg = [0] * len(g.ports)
-            for e in edges:
-                deg[g.tails[e]] += 1
-                deg[g.head_port[e]] += 1
-            assert deg == self.deg[comp], "degree counters drifted"
-            assert max(deg) <= self.capacity, "degree bound violated"
-            self._check_structure(comp, [(g.tails[e], g.heads[e]) for e in edges])
-        placed = [4] + [0] * n
-        for e in self.trail:
-            placed[g.tails[e]] += 1
-            placed[g.heads[e]] += 1
-        assert list(self.placed) == placed, "placed-edge counters drifted"
-
-    def _check_structure(self, comp, pairs):
-        # The fixed subgraph must be vertex-disjoint simple paths, or one
-        # Hamiltonian cycle on all n vertices. The degree bound makes every
-        # directed path consistently oriented, so paths are walked as
-        # undirected; the open ports at a path's two ends must be paired in
-        # pend.
-        n = self.n
-        deg = self.deg[comp]
-        pend = self.pend[comp]
-        in_port = n if self.directed else 0  # vertex v's in-port is v + in_port
-        adj = [[] for _ in range(n + 1)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * (n + 1)
-        for s in range(1, n + 1):
-            if len(adj[s]) > 1 or seen[s]:
-                continue
-            prev, cur = 0, s
-            while True:
-                assert not seen[cur], f"component {comp} path revisits vertex {cur}"
-                seen[cur] = True
-                options = [w for w in adj[cur] if w != prev]
-                if not options:
-                    break
-                prev, cur = cur, options[0]
-            ends = sorted({p for x in (s, cur) for p in (x, x + in_port)
-                           if deg[p] < self.capacity})
-            a, b = ends[0], ends[-1]
-            assert pend[a] == b and pend[b] == a, "endpoint map stale at a path end"
-        for s in range(1, n + 1):
-            if seen[s]:
-                continue
-            length = 0
-            prev, cur = 0, s
-            while True:
-                seen[cur] = True
-                length += 1
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                if cur == s:
-                    break
-            assert length == n and len(pairs) == n, f"component {comp} holds a short cycle"
-
-    def snapshot(self):
-        """Deep copy of all mutable search fields, for replay comparisons;
-        the trail as (edge, component, a, b) entries, see ``saved_a``."""
-        snap = {
-            name: _frozen(getattr(self, name))
-            for name in ("assignment", "counts", "invalid", "deg", "pend", "placed")
-        }
-        snap["trail"] = tuple(
-            (e, self.assignment[e], self.saved_a[e], self.saved_b[e]) for e in self.trail
-        )
-        return snap
 
 
 def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> FixOutcome:
@@ -703,12 +610,3 @@ def walk_ring(state: PartialState, ring: tuple, comp: int, g: UnionMultigraph) -
         state.invalid = True
     return r
 
-
-def _frozen(value):
-    """A list, or nested lists and tuples of them, as nested tuples; a
-    bytearray as bytes."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_frozen(v) for v in value)
-    if isinstance(value, bytearray):
-        return bytes(value)
-    return value

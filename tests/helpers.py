@@ -1,15 +1,17 @@
-"""Shared scripted-search helpers used by the unit and acceptance tests."""
+"""Shared scripted-search helpers and structured instance builders used by the
+unit and acceptance tests."""
 
 import random
 
-from hamdecomp import FREE, PartialState, SolveLimits, W, Z, bcef
+from hamdecomp import FREE, HamCycle, Mode, PartialState, SolveLimits, W, Z, bcef
 from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT
+from invariants import check_invariants, snapshot
 
 
 def solve_bcef_validated(g, x, y, limits=None):
     """``solve_bcef`` with full invariant scans after every cascade that does
-    not fail: ``PartialState.check_invariants`` and
-    ``check_propagation_closure``, which raise AssertionError on a violation.
+    not fail: ``check_invariants`` and ``check_propagation_closure``, which
+    raise AssertionError on a violation.
 
     The solver reaches its cascades through the module globals
     ``bcef.chain_fix`` (preprocessing, and undirected search) and
@@ -22,7 +24,7 @@ def solve_bcef_validated(g, x, y, limits=None):
         def run(state, *args):
             r = cascade(state, *args)
             if r is not CONFLICT and r is not CLOSES_NON_HAM_CYCLE:
-                state.check_invariants()
+                check_invariants(state)
                 check_propagation_closure(state, state.g)
             return r
         return run
@@ -82,4 +84,32 @@ def _assert_equals_replay(g, state):
     fresh = PartialState(g)
     for e in state.trail:
         fresh.fix_edge(e, state.assignment[e])
-    assert fresh.snapshot() == state.snapshot()
+    assert snapshot(fresh) == snapshot(state)
+
+
+def double_bridge_pair(n, k, seed, mode=Mode.DIRECTED):
+    """db(n, k): a random n-cycle x and the cycle y made from x by k random
+    double-bridge moves, each cutting the vertex sequence into A B C D and
+    joining it as A C B D. At k = n/4 a directed union has dozens of
+    nontrivial rings."""
+    rng = random.Random(seed)
+    x = list(range(1, n + 1))
+    rng.shuffle(x)
+    y = x[:]
+    for _ in range(k):
+        i, j, m = sorted(rng.sample(range(1, n), 3))
+        y = y[:i] + y[j:m] + y[i:j] + y[m:]
+    return HamCycle(x, mode), HamCycle(y, mode)
+
+
+def two_opt_pair(n, k, seed, mode=Mode.DIRECTED):
+    """2opt(n, k): a random n-cycle x and the cycle y made from x by k random
+    segment reversals ``y[i:j] = y[i:j][::-1]``, with i < j drawn from 1..n."""
+    rng = random.Random(seed)
+    x = list(range(1, n + 1))
+    rng.shuffle(x)
+    y = x[:]
+    for _ in range(k):
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        y[i:j] = y[i:j][::-1]
+    return HamCycle(x, mode), HamCycle(y, mode)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 
@@ -27,7 +25,8 @@ from hamdecomp import (
     solve_bsp,
 )
 from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, FREE, OK
-from helpers import solve_bcef_validated
+from helpers import double_bridge_pair, solve_bcef_validated
+from invariants import counters
 from strategies import cycle_pairs
 from test_state import edge_id
 
@@ -177,7 +176,7 @@ def test_determinism(feasible6, feasible6_union):
     b = solve_bcef(feasible6_union, feasible6.x, feasible6.y)
     assert a.status is b.status
     assert a.z.vertices == b.z.vertices and a.w.vertices == b.w.vertices
-    assert a.stats.deterministic_fields() == b.stats.deterministic_fields()
+    assert counters(a.stats) == counters(b.stats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,27 +200,12 @@ def test_agrees_with_path_extension_solver(pair):
     assert solve_bcef(g, x, y).status is solve_bsp(g, x, y).status
 
 
-def _double_bridge_pair(n, k, seed):
-    """db(n, k): a random directed n-cycle x and the cycle y made from x by k
-    random double-bridge moves, each cutting the vertex sequence into A B C D
-    and joining it as A C B D. At k = n/4 the union has dozens of nontrivial
-    rings."""
-    rng = random.Random(seed)
-    x = list(range(1, n + 1))
-    rng.shuffle(x)
-    y = x[:]
-    for _ in range(k):
-        i, j, m = sorted(rng.sample(range(1, n), 3))
-        y = y[:i] + y[j:m] + y[i:j] + y[m:]
-    return HamCycle(x, Mode.DIRECTED), HamCycle(y, Mode.DIRECTED)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_double_bridge_pairs_decided(seed):
     """Structured directed pairs with dozens of nontrivial rings: branching on
     the longest undecided ring first decides each within 1000 nodes, and
     every witness is a valid second decomposition."""
-    x, y = _double_bridge_pair(1024, 256, seed)
+    x, y = double_bridge_pair(1024, 256, seed)
     for a, b in ((x, y), (y, x)):
         r = solve_bcef(build_union(a, b), a, b, SolveLimits(node_budget=1000))
         assert r.status is not SolveStatus.TIMED_OUT
@@ -234,7 +218,7 @@ def test_double_bridge_pairs_decided(seed):
 def test_double_bridge_verdicts_match_oracle(n):
     for k in (1, 2, 3):
         for seed in range(8):
-            x, y = _double_bridge_pair(n, k, seed)
+            x, y = double_bridge_pair(n, k, seed)
             for a, b in ((x, y), (y, x)):
                 g = build_union(a, b)
                 r = solve_bcef_validated(g, a, b)
@@ -253,7 +237,7 @@ def test_validated_directed_solve_scans_after_every_walk(monkeypatch, rigid6, in
         inst = gen_instance(8, Mode.DIRECTED, 9)
         x, y = inst.x, inst.y
     else:
-        x, y = _double_bridge_pair(12, 2, int(instance[-1]))
+        x, y = double_bridge_pair(12, 2, int(instance[-1]))
     events = []
 
     def logged(fn, event=None):
@@ -264,8 +248,8 @@ def test_validated_directed_solve_scans_after_every_walk(monkeypatch, rigid6, in
         return run
 
     monkeypatch.setattr(bcef, "walk_ring", logged(bcef.walk_ring))
-    monkeypatch.setattr(PartialState, "check_invariants",
-                        logged(PartialState.check_invariants, "invariants"))
+    monkeypatch.setattr(helpers, "check_invariants",
+                        logged(helpers.check_invariants, "invariants"))
     monkeypatch.setattr(helpers, "check_propagation_closure",
                         logged(helpers.check_propagation_closure, "closure"))
     solve_bcef_validated(build_union(x, y), x, y)

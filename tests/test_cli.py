@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,24 @@ def test_bench_rows_match_solve_certificates(capsys, tmp_path, mode):
         cert = parse_certificate(out)
         assert (row["status"], int(row["nodes"]), int(row["edges_fixed"])) == (
             cert.status.value, cert.nodes, cert.edges_fixed)
+
+
+def test_bench_generates_its_tasks_as_it_solves(capsys, monkeypatch):
+    """A bench of a million runs interrupted at its first solve has built no
+    task list: a list of them would take about 112 MB."""
+    def interrupted(limits, task):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_bench_row", interrupted)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "bench", "--n", 3, "--count", 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "interrupted after 0 of 1000000 runs" in err
+    assert peak < 4 * 2**20
 
 
 def test_bench_rejects_empty_sizes(capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from hamdecomp import Mode, SolveLimits, build_union, gen_instance, solve_bcef, solve_bsp
 from helpers import solve_bcef_validated
+from invariants import counters
 
 SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
 
@@ -64,7 +65,7 @@ def test_counters_pinned(row):
     algo, mode, n, seed, budget, status, nodes, edges_fixed, max_depth = row
     r = _solve(algo, mode, n, seed, budget)
     assert r.status.value == status
-    assert r.stats.deterministic_fields() == (nodes, edges_fixed, max_depth)
+    assert counters(r.stats) == (nodes, edges_fixed, max_depth)
 
 
 @pytest.mark.parametrize("row", [r for r in ROWS if r[0] == "bcef" and r[2] <= 64], ids=_row_id)
@@ -72,7 +73,7 @@ def test_validation_leaves_counters_alone(row):
     algo, mode, n, seed, budget, status, nodes, edges_fixed, max_depth = row
     r = _solve(algo, mode, n, seed, budget, solve_bcef_validated)
     assert r.status.value == status
-    assert r.stats.deterministic_fields() == (nodes, edges_fixed, max_depth)
+    assert counters(r.stats) == (nodes, edges_fixed, max_depth)
 
 
 # The undirected-search benchmark shape: bcef on undirected n=512 under a
@@ -89,7 +90,7 @@ def test_undirected_search_shape_pinned():
     got = []
     for seed, *_ in UNDIRECTED_SEARCH_ROWS:
         r = _solve("bcef", "undirected", 512, seed, 350)
-        got.append((seed, r.status.value, *r.stats.deterministic_fields()))
+        got.append((seed, r.status.value, *counters(r.stats)))
     assert got == UNDIRECTED_SEARCH_ROWS
 
 
@@ -108,7 +109,7 @@ def test_directed_cascade_shape_pinned():
     got = []
     for seed, *_ in DIRECTED_CASCADE_ROWS:
         r = _solve("bcef", "directed", 2048, seed, 1000)
-        got.append((seed, r.status.value, *r.stats.deterministic_fields()))
+        got.append((seed, r.status.value, *counters(r.stats)))
     assert got == DIRECTED_CASCADE_ROWS
 
 
@@ -132,5 +133,5 @@ def test_large_undirected_trajectories_pinned():
     got = []
     for n, seed, budget, *_ in LARGE_UNDIRECTED_ROWS:
         r = _solve("bcef", "undirected", n, seed, budget)
-        got.append((n, seed, budget, r.status.value, *r.stats.deterministic_fields()))
+        got.append((n, seed, budget, r.status.value, *counters(r.stats)))
     assert got == LARGE_UNDIRECTED_ROWS

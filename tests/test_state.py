@@ -1,6 +1,8 @@
 import gc
 import math
+import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hamdecomp import (
     NotCompleteError,
     PartialState,
     SolveLimits,
+    SolveStatus,
     UnionMultigraph,
     W,
     Z,
@@ -35,6 +38,7 @@ from hamdecomp.state import (
     OK,
 )
 from helpers import scripted_roundtrip
+from invariants import check_invariants, component_pairs, snapshot
 from strategies import cycle_pairs
 
 
@@ -122,9 +126,9 @@ def test_undo_to_mark(feasible6_union):
 def test_undo_to_current_length_is_noop(feasible6_union):
     state = PartialState(feasible6_union)
     state.fix_edge(0, Z)
-    before = state.snapshot()
+    before = snapshot(state)
     state.undo_to(len(state.trail))
-    assert state.snapshot() == before
+    assert snapshot(state) == before
 
 
 def test_undo_rejects_bad_marks(feasible6_union):
@@ -153,7 +157,7 @@ def test_completion_and_extraction(feasible6, feasible6_union):
     assert state.differs_from_inputs(
         cycle_edge_multiset(feasible6.x), cycle_edge_multiset(feasible6.y)
     )
-    state.check_invariants()
+    check_invariants(state)
 
 
 def test_directed_input_pair_does_not_differ(rigid6, rigid6_union):
@@ -245,7 +249,7 @@ def test_random_ok_states_pass_full_scan(pair, seed):
         out = state.fix_edge(rng.choice(free), rng.choice((Z, W)))
         if out in (CLOSES_NON_HAM_CYCLE, CONFLICT):
             state.undo_to(len(state.trail))
-        state.check_invariants()
+        check_invariants(state)
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,7 +268,7 @@ def test_completion_outcome_matches_explicit_cycle_walk(pair, seed):
             break
         e = rng.choice(free)
         comp = rng.choice((Z, W))
-        pairs_before = state.component_pairs(comp)
+        pairs_before = component_pairs(state, comp)
         out = state.fix_edge(e, comp)
         if out in (COMPLETES_COMPONENT, CLOSES_NON_HAM_CYCLE):
             cycle_edges = _closed_cycle_length(g, pairs_before, e)
@@ -310,11 +314,27 @@ def test_limits_reject_nan_budgets(field):
         SolveLimits(**{field: math.nan})
 
 
+@pytest.mark.parametrize("solver", [solve_bsp, solve_bcef])
+@pytest.mark.parametrize("mode,n", [(Mode.UNDIRECTED, 64), (Mode.DIRECTED, 12)])
+def test_time_budget_is_checked_at_every_node(monkeypatch, solver, mode, n):
+    """A clock already past its deadline at its first read stops a solve at
+    its first node or the next, though the solve needs more nodes to decide."""
+    inst = gen_instance(n, mode, 0)
+    g = build_union(inst.x, inst.y)
+    assert solver(g, inst.x, inst.y).stats.nodes > 2
+    readings = iter([0.0])  # the deadline is set from this one
+    clock = SimpleNamespace(monotonic=lambda: next(readings, 1e9), perf_counter=time.perf_counter)
+    monkeypatch.setattr("hamdecomp.state.time", clock)
+    r = solver(g, inst.x, inst.y, SolveLimits(time_budget=1.0))
+    assert r.status is SolveStatus.TIMED_OUT
+    assert r.stats.nodes <= 2
+
+
 def _check_drifted_placed_counter_is_caught(state):
-    state.check_invariants()
+    check_invariants(state)
     state.placed[6] += 1
     with pytest.raises(AssertionError, match="placed"):
-        state.check_invariants()
+        check_invariants(state)
 
 
 def test_full_scan_catches_drifted_placed_counter(partial_state):
@@ -438,10 +458,10 @@ def test_placed_view_after_an_edge_returns_to_its_position(feasible6_union):
 def test_snapshot_does_not_alias_the_placed_view(feasible6_union):
     state = PartialState(feasible6_union)
     assert state.fix_edge(0, Z) is OK
-    before = state.snapshot()
+    before = snapshot(state)
     placed_before = bytes(before["placed"])
     assert state.fix_edge(2, Z) is OK
-    after = state.snapshot()
+    after = snapshot(state)
     assert before["placed"] == placed_before
     assert before["placed"] != after["placed"]
 
@@ -456,27 +476,27 @@ def directed_partial_state(rigid6_union):
     assert state.fix_edge(edge_id(g, 1, 4), W) is OK
     # z's path is open at vertex 1's in-port and at vertex 3's out-port
     assert state.pend[Z][7] == 3 and state.pend[Z][3] == 7
-    state.check_invariants()
+    check_invariants(state)
     return state
 
 
 def test_full_scan_catches_drifted_directed_endpoint(directed_partial_state):
     directed_partial_state.pend[Z][7] = 2
     with pytest.raises(AssertionError, match="endpoint"):
-        directed_partial_state.check_invariants()
+        check_invariants(directed_partial_state)
 
 
 def test_full_scan_catches_drifted_directed_in_port_degree(directed_partial_state):
     directed_partial_state.deg[Z][6 + 3] = 0  # the in-port that 2->3 fills
     with pytest.raises(AssertionError, match="degree counters"):
-        directed_partial_state.check_invariants()
+        check_invariants(directed_partial_state)
 
 
 def test_full_scan_catches_a_trail_entry_of_a_free_edge(directed_partial_state):
     state = directed_partial_state
     state.trail[-1] = state.assignment.index(FREE)
     with pytest.raises(AssertionError, match="trail does not hold"):
-        state.check_invariants()
+        check_invariants(state)
 
 
 def _unreachable_after(call):
@@ -544,7 +564,7 @@ def test_edge_id_acceptance_matches_multisets(mode):
                 expected = state.differs_from_inputs(x_ms, y_ms)
                 assert state.differs_from_cycles() == expected
                 for comp, c in zip((Z, W), state.extract_decomposition()):
-                    pairs = state.component_pairs(comp)
+                    pairs = component_pairs(state, comp)
                     assert c.vertices[0] == 1
                     if mode is Mode.UNDIRECTED:
                         assert c.vertices[1] == min(u + v - 1 for u, v in pairs if 1 in (u, v))
