@@ -16,8 +16,8 @@ A directed cascade stays on one ring of the union (see ``UnionMultigraph``):
 from a free ring it fixes exactly that ring, x's arcs into one component and
 y's into the other, so each directed decision decides one ring. Directed
 search branches on the longest undecided ring, offering its first x-arc,
-then the y-arc at the same out-port, and cascades with ``walk_ring``, the
-queue's cascade from a free ring's first x-arc without the queue. Undirected
+then the y-arc at the same out-port, and decides it with ``walk_ring``,
+which fixes the ring's x-arcs, then its y-arcs, in two passes. Undirected
 search branches at the vertex ``select_branch_edge`` picks, among the free
 edges at its port, and cascades with ``chain_fix``; ``preprocess_parallel``
 uses ``chain_fix`` in both modes.

@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise HamdecompError(f"cannot read {path}: {exc}") from None
 

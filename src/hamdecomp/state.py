@@ -16,8 +16,8 @@ its moves, the same four for both: ``start``, ``expand``, ``take`` and
 ``refute``. The driver refutes every failed move and judges every complete
 state by edge id. The chain-fixing cascade, ``chain_fix``, lives here too,
 because it writes its forced fixes into the state's fields directly, and so
-does ``walk_ring``, the same cascade from a free directed ring's first x-arc,
-without the queue.
+does ``walk_ring``, which decides a free directed ring in two passes: its
+x-arcs into one component, then its y-arcs into the other.
 """
 
 from __future__ import annotations
@@ -467,8 +467,8 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
     cascade pays no call per edge. One push step serves both modes: the free
     edges at each port the fix filled, the tail's port first. A directed fix
     fills both of its ports, and the one free arc left at each is its sibling,
-    so a directed cascade stays on e's ring (see ``UnionMultigraph``).
-    ``walk_ring`` is this cascade started from a free ring's first x-arc.
+    so a directed cascade stays on e's ring (see ``UnionMultigraph``); from a
+    free ring's first x-arc it fixes what ``walk_ring``'s two passes fix.
     """
     assignment = state.assignment
     if assignment[e] != FREE:
@@ -550,63 +550,40 @@ def chain_fix(state: PartialState, e: int, comp: int, g: UnionMultigraph) -> Fix
 def walk_ring(state: PartialState, ring: tuple, comp: int, g: UnionMultigraph) -> FixOutcome:
     """``chain_fix`` of a free ring's first x-arc ``ring[0]`` into comp.
 
-    Every arc of the ring must be free. Every port the ring touches then
-    holds two free arcs of the ring and no other, so the queue would fix the
-    whole ring, and nothing else, in alternating components: ``ring[0]``, then
-    one arc each way round the ring in turn, the y-arc at its tail port
-    first, ending at the arc opposite it. The walk fixes them in that order
-    with the queue's cycle checks, trail entries and saved ends, but without
-    its queue, port scan or capacity test, which cannot fail here.
+    Each port a free ring touches holds two of its arcs and no other, so the
+    cascade fixes the x-arcs ``ring[0::2]`` into comp and the y-arcs
+    ``ring[1::2]`` into the other component. The two endpoint maps are
+    disjoint and no outcome hangs on which arc goes first, so the walk fixes
+    the x-arcs, then the y-arcs, with the cascade's cycle test and trail.
     """
-    size = len(ring)
-    half = size >> 1
-    order = [ring[0]] * size
-    order[1:-1:2] = ring[1:half]  # the arcs 1 .. half - 1 steps on from ring[0]
-    order[2:-1:2] = ring[:half:-1]  # and back from it
-    order[-1] = ring[half]
-    # The arcs 2j - 1 and 2j of the order lie j steps from ring[0], so they go
-    # to comp for even j: a step per arc names its component and that
-    # component's endpoint map and degrees.
-    other = 1 - comp
-    near = (comp, state.pend[comp], state.deg[comp])
-    far = (other, state.pend[other], state.deg[other])
-    steps = [near] + [far, far, near, near] * ((size >> 2) + 1)
-    assignment = state.assignment
-    tails = g.tails
-    heads = g.head_port
-    counts = state.counts
-    saved_a = state.saved_a
-    saved_b = state.saved_b
+    tails, heads = g.tails, g.head_port
+    assignment, counts = state.assignment, state.counts
+    saved_a, saved_b = state.saved_a, state.saved_b
     r = OK
-    for f, (c, pend, deg) in zip(order, steps):
-        u = tails[f]
-        v = heads[f]
-        eu = pend[u]
-        ev = pend[v]
-        if eu == v:
-            # u and v are the two ends of one fixed path: f closes a cycle
-            i = order.index(f)
-            if counts[c] + 1 + steps[:i].count(steps[i]) < state.n:
-                del order[i:]
-                r = CLOSES_NON_HAM_CYCLE
-                break
-            saved_a[f] = saved_b[f] = 0
-            r = COMPLETES_COMPONENT
-        else:
-            saved_a[f] = eu
-            saved_b[f] = ev
-            pend[eu] = ev
-            pend[ev] = eu
-        assignment[f] = c
-        deg[u] = 1
-        deg[v] = 1
-    state.trail += order
-    fixed = len(order)
-    fixed_near = steps[:fixed].count(near)
-    counts[comp] += fixed_near
-    counts[other] += fixed - fixed_near
-    state.edges_fixed += fixed
-    if r is CLOSES_NON_HAM_CYCLE:
-        state.invalid = True
+    for c, arcs in ((comp, ring[0::2]), (1 - comp, ring[1::2])):
+        pend, deg = state.pend[c], state.deg[c]
+        for count, f in enumerate(arcs, counts[c] + 1):
+            u = tails[f]
+            v = heads[f]
+            eu = pend[u]
+            ev = pend[v]
+            if eu == v:
+                # u and v are the two ends of one fixed path: f closes a cycle
+                if count < state.n:
+                    arcs = arcs[:count - 1 - counts[c]]
+                    r = CLOSES_NON_HAM_CYCLE
+                    break
+                saved_a[f] = saved_b[f] = 0
+                r = COMPLETES_COMPONENT
+            else:
+                saved_a[f], saved_b[f] = eu, ev
+                pend[eu], pend[ev] = ev, eu
+            assignment[f] = c
+            deg[u] = deg[v] = 1
+        state.trail += arcs
+        state.edges_fixed += len(arcs)
+        counts[c] += len(arcs)
+        if r is CLOSES_NON_HAM_CYCLE:
+            state.invalid = True
+            return r
     return r
-

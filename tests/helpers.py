@@ -113,3 +113,26 @@ def two_opt_pair(n, k, seed, mode=Mode.DIRECTED):
         i, j = sorted(rng.sample(range(1, n + 1), 2))
         y[i:j] = y[i:j][::-1]
     return HamCycle(x, mode), HamCycle(y, mode)
+
+
+def kernel(x, y):
+    """The pair with every vertex that x and y pass the same way dropped:
+    one whose x-neighbours equal its y-neighbours, as a set when undirected
+    and as (predecessor, successor) when directed. Its four union edges are
+    two parallel pairs, and every decomposition splits each pair, so both
+    cycles run through it the same way and dropping it from both sequences
+    keeps the census. The rest are renumbered 1.. by sorted label. None when
+    fewer than 3 vertices remain, that is when x = y."""
+    directed = x.mode is Mode.DIRECTED
+
+    def neighbours(c):
+        seq = c.vertices
+        pairs = zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1])
+        return {v: (p, s) if directed else frozenset((p, s)) for p, v, s in pairs}
+
+    nx, ny = neighbours(x), neighbours(y)
+    kept = sorted(v for v in nx if nx[v] != ny[v])
+    if len(kept) < 3:
+        return None
+    label = {v: i for i, v in enumerate(kept, 1)}
+    return tuple(HamCycle([label[v] for v in c.vertices if v in label], c.mode) for c in (x, y))

@@ -1,12 +1,14 @@
 """The chain-fixing cascade against the cascade built on ``fix_edge``.
 
 ``chain_fix`` performs each forced fix in place instead of calling
-``fix_edge``, and ``walk_ring`` fixes a free directed ring from its first
-x-arc without a queue. ``_reference_chain_fix`` is the cascade they
-replace, one ``fix_edge`` call per forced fix and a loop over both edges of
-every port a fix fills. Run side by side on two states, the two must return
-the same outcome and leave the same state, trail order, ``edges_fixed`` and
-invalid flag after every call, on success and on failure.
+``fix_edge``. ``_reference_chain_fix`` is the cascade it replaces, one
+``fix_edge`` call per forced fix and a loop over both edges of every port a
+fix fills. Run side by side on two states, the two must return the same
+outcome and leave the same state, trail order, ``edges_fixed`` and invalid
+flag after every call, on success and on failure. ``walk_ring`` fixes a free
+directed ring in two passes, its x-arcs and then its y-arcs, and must match
+the same two passes of ``fix_edge`` just as exactly, and the queue's cascade
+from the ring's first x-arc in outcome and, on success, in the fixed edges.
 """
 
 import random
@@ -66,6 +68,21 @@ def _reference_chain_fix(state, e, comp, g):
                 if assignment[fe] == FREE:
                     push((fe, o))
     return COMPLETES_COMPONENT if completed else OK
+
+
+def _reference_walk_ring(state, ring, comp):
+    """``fix_edge`` on the ring's x-arcs into comp, then on its y-arcs into
+    the other component, stopping at the first failure."""
+    fix_edge = state.fix_edge
+    outcome = OK
+    for c, arcs in ((comp, ring[0::2]), (1 - comp, ring[1::2])):
+        for f in arcs:
+            r = fix_edge(f, c)
+            if r is CONFLICT or r is CLOSES_NON_HAM_CYCLE:
+                return r
+            if r is COMPLETES_COMPONENT:
+                outcome = r
+    return outcome
 
 
 def _same(kernel, reference):
@@ -136,8 +153,10 @@ def test_cascades_from_every_edge_match_reference(mode):
 def test_ring_walk_matches_reference_on_search_states():
     """The states the search makes, each reached by successful cascades from
     free arcs, leave every ring fixed or free. From each such state, walk
-    every free nontrivial ring into each component and compare with the
-    queue built on ``fix_edge`` cascading the ring's first x-arc."""
+    every free nontrivial ring into each component and compare with the two
+    ``fix_edge`` passes, state for state, and with the queue built on
+    ``fix_edge`` cascading the ring's first x-arc, which fixes the same arcs
+    in another order and so may stop at another closing arc."""
     walks = []
     for n in range(3, 13):
         for seed in range(30):
@@ -146,6 +165,7 @@ def test_ring_walk_matches_reference_on_search_states():
             rng = random.Random(seed)
             kernel = PartialState(g)
             reference = PartialState(g)
+            queue = PartialState(g)
             rings = []
             for ring in g.rings:
                 if len(ring) > 2:
@@ -155,6 +175,7 @@ def test_ring_walk_matches_reference_on_search_states():
                     comp = rng.choice((Z, W))
                     chain_fix(kernel, ring[0], comp, g)
                     _reference_chain_fix(reference, ring[0], comp, g)
+                    _reference_chain_fix(queue, ring[0], comp, g)
             _same(kernel, reference)
             while True:
                 mark = len(kernel.trail)
@@ -164,21 +185,62 @@ def test_ring_walk_matches_reference_on_search_states():
                         continue
                     for comp in (Z, W):
                         r = walk_ring(kernel, ring, comp, g)
-                        assert _reference_chain_fix(reference, ring[0], comp, g) is r
+                        assert _reference_walk_ring(reference, ring, comp) is r
                         _same(kernel, reference)
+                        assert _reference_chain_fix(queue, ring[0], comp, g) is r
                         walks.append(r)
                         if r is OK or r is COMPLETES_COMPONENT:
+                            for name in ("assignment", "deg", "counts"):
+                                assert getattr(kernel, name) == getattr(queue, name)
                             moves.append((ring, comp))
-                        kernel.undo_to(mark)
-                        reference.undo_to(mark)
+                        for state in (kernel, reference, queue):
+                            state.undo_to(mark)
                 if not moves:
                     break
                 ring, comp = rng.choice(moves)
                 walk_ring(kernel, ring, comp, g)
-                _reference_chain_fix(reference, ring[0], comp, g)
+                _reference_walk_ring(reference, ring, comp)
+                _reference_chain_fix(queue, ring[0], comp, g)
                 _same(kernel, reference)
     assert len(walks) > 1000
     assert set(walks) == {OK, COMPLETES_COMPONENT, CLOSES_NON_HAM_CYCLE}
+
+
+def test_ring_walk_matches_reference_beside_loose_arcs():
+    """``walk_ring`` needs only its own ring free. With one side of other
+    rings fixed an arc at a time, which no cascade leaves, the components
+    hold different counts, so either pass of a walk can complete its
+    component alone; both cases must occur."""
+    alone = set()
+    for n in range(4, 13):
+        for seed in range(30):
+            inst = hamdecomp.gen_instance(n, Mode.DIRECTED, seed)
+            g = build_union(inst.x, inst.y)
+            rng = random.Random(seed)
+            kernel = PartialState(g)
+            reference = PartialState(g)
+            queue = PartialState(g)
+            loose = [(ring[rng.randrange(2)::2], rng.choice((Z, W))) for ring in g.rings]
+            for arcs, comp in rng.sample(loose, len(loose) // 2):
+                for f in arcs:
+                    for state in (kernel, reference, queue):
+                        if state.fix_edge(f, comp) is CLOSES_NON_HAM_CYCLE:
+                            state.undo_to(len(state.trail))
+            _same(kernel, reference)
+            mark = len(kernel.trail)
+            for ring in g.rings:
+                if len(ring) == 2 or any(kernel.assignment[f] != FREE for f in ring):
+                    continue
+                for comp in (Z, W):
+                    r = walk_ring(kernel, ring, comp, g)
+                    assert _reference_walk_ring(reference, ring, comp) is r
+                    _same(kernel, reference)
+                    assert _reference_chain_fix(queue, ring[0], comp, g) is r
+                    if r is COMPLETES_COMPONENT and min(kernel.counts) < n:
+                        alone.add(kernel.counts[comp] == n)
+                    for state in (kernel, reference, queue):
+                        state.undo_to(mark)
+    assert alone == {True, False}
 
 
 def test_one_cascade_under_every_name():

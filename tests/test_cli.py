@@ -342,6 +342,20 @@ def test_verify_non_utf8_certificate(capsys, feasible6_file, tmp_path):
     assert "cannot read" in err
 
 
+def test_solve_and_verify_read_past_a_byte_order_mark(capsys, feasible6, tmp_path):
+    """Editors on Windows save UTF-8 with a leading BOM; the header after it
+    is still the first line."""
+    inst_path = tmp_path / "bom.txt"
+    inst_path.write_bytes(b"\xef\xbb\xbf" + write_instance(feasible6).encode())
+    code, out, err = run(capsys, "solve", inst_path, "--algo", "bcef")
+    assert (code, err) == (0, "")
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_bytes(b"\xef\xbb\xbf" + out.encode())
+    code, out, err = run(capsys, "verify", inst_path, cert_path)
+    assert (code, err) == (0, "")
+    assert "verified" in out
+
+
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
 def test_gen_out_blocked_by_a_file(capsys, tmp_path, out):
     (tmp_path / "a_file").write_text("taken\n")

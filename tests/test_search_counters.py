@@ -28,12 +28,12 @@ ROWS = [
     ("bcef", "undirected", 64, 0, 0, "DECOMPOSED", 46, 181, 43),
     ("bcef", "undirected", 256, 3, 0, "DECOMPOSED", 178, 1432, 142),
     ("bcef", "undirected", 512, 0, 60, "TIMEOUT", 61, 144, 59),
-    ("bcef", "directed", 6, 1, 0, "NONE", 3, 13, 1),
+    ("bcef", "directed", 6, 1, 0, "NONE", 3, 15, 1),
     ("bcef", "directed", 8, 21, 0, "DECOMPOSED", 5, 24, 2),         # forced, w cascade finds the witness
-    ("bcef", "directed", 8, 27, 0, "NONE", 4, 17, 2),
+    ("bcef", "directed", 8, 27, 0, "NONE", 4, 18, 2),
     ("bcef", "directed", 10, 7, 0, "DECOMPOSED", 5, 28, 2),         # forced, w cascade finds the witness
     ("bcef", "directed", 8, 25, 0, "DECOMPOSED", 3, 22, 1),         # w cascade finds the witness
-    ("bcef", "directed", 64, 0, 0, "NONE", 3, 142, 1),
+    ("bcef", "directed", 64, 0, 0, "NONE", 3, 141, 1),
     ("bsp", "undirected", 6, 5, 0, "DECOMPOSED", 7, 17, 5),
     ("bsp", "undirected", 8, 12, 0, "NONE", 20, 62, 7),
     ("bsp", "undirected", 10, 0, 0, "DECOMPOSED", 16, 45, 9),
@@ -99,9 +99,9 @@ def test_undirected_search_shape_pinned():
 # cascades one ring of hundreds of arcs, so these pin the chain-fixing cascade
 # and the longest-ring-first branching on inputs far larger than the rows above.
 DIRECTED_CASCADE_ROWS = [
-    (0, "NONE", 5, 5693, 3),
-    (1, "DECOMPOSED", 25, 4396, 12),
-    (2, "NONE", 9, 4196, 5),
+    (0, "NONE", 5, 4566, 3),
+    (1, "DECOMPOSED", 25, 4434, 12),
+    (2, "NONE", 9, 4185, 5),
 ]
 
 
