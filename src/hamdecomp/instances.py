@@ -4,7 +4,8 @@ The random source is splitmix64: documented constants, a 64-bit seed, and the
 same stream on every platform, which makes generated suites byte-identical
 across reruns and machines. One instance consumes a single continuous stream:
 cycle x is drawn first, then y. Shuffle indices come from a plain modulo,
-whose bias is negligible for any n this toolkit handles.
+whose bias is negligible for any n this toolkit handles. Draws are computed a
+block at a time (``SplitMix64.draws``), which leaves the stream unchanged.
 
 Instance file format (one item per line, '#' lines ignored):
     p hd <directed|undirected> <n>
@@ -20,6 +21,8 @@ Certificate format:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import InstanceSemanticError, InstanceSyntaxError, InvalidCycleError
@@ -31,6 +34,27 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+_BLOCK = 1024  # draws per big-int pass
+_ORDER = sys.byteorder
+
+
+def _packed(words):
+    """Native bytes of the BLOCK words, each followed by a zero word: read
+    with ``_ORDER``, one 128-bit field per word."""
+    fields = array("Q", bytes(16 * _BLOCK))
+    fields[::2] = words
+    return fields.tobytes()
+
+
+# per field k = 1..BLOCK: the state offset k*GAMMA, a 1 (to add the block's
+# start state to every field in one product) and the 64-bit mask
+_PACKED = tuple(_packed(words) for words in (
+    array("Q", ((k * _GAMMA) & _MASK for k in range(1, _BLOCK + 1))),
+    array("Q", [1]) * _BLOCK,
+    array("Q", [_MASK]) * _BLOCK,
+))
+_FULL_BLOCK = tuple(int.from_bytes(b, _ORDER) for b in _PACKED)
+
 
 class SplitMix64:
     """Deterministic 64-bit generator; state advances by a fixed increment."""
@@ -40,12 +64,37 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
+    def draws(self, m: int) -> list[int]:
+        """The next m outputs of the stream, in order; the state advances m steps.
+
+        Draw k of a block mixes the state start + k*GAMMA, so a block packs
+        into one int, a 128-bit field per draw, and each step of the mix is
+        one big-int operation over the whole block. A 64x64-bit product is
+        below 2^128, so it never reaches another draw's word; whatever a
+        carry, a product or a shift leaves in a zero word, the mask clears
+        and the unpacking skips.
+        """
+        out = []
+        s = self.state
+        while m > 0:
+            k = min(m, _BLOCK)
+            size = 16 * k
+            if k == _BLOCK:
+                steps, ones, low = _FULL_BLOCK
+            else:
+                steps, ones, low = (int.from_bytes(b[:size], _ORDER) for b in _PACKED)
+            z = (s * ones + steps) & low
+            z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+            z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+            z ^= z >> 31
+            out += memoryview(z.to_bytes(size, _ORDER)).cast("Q")[::2].tolist()
+            s = (s + k * _GAMMA) & _MASK
+            m -= k
+        self.state = s
+        return out
+
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return self.draws(1)[0]
 
 
 @dataclass(frozen=True)
@@ -69,8 +118,8 @@ def gen_cycle(n: int, rng: SplitMix64, mode: Mode = Mode.UNDIRECTED) -> HamCycle
     if n < 3:
         raise InvalidCycleError(f"n must be at least 3, got {n}")
     seq = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
+    for i, r in zip(range(n - 1, 0, -1), rng.draws(n - 1)):
+        j = r % (i + 1)
         seq[i], seq[j] = seq[j], seq[i]
     return HamCycle(tuple(seq), mode)
 
@@ -84,11 +133,16 @@ def gen_instance(n: int, mode: Mode, seed: int) -> Instance:
 
 # -- instance text format -------------------------------------------------
 
+def _vertex_line(tag, vertices):
+    """'<tag> v1 ... vn' from a tuple, the line format of instances and certificates."""
+    return tag + " %d" * len(vertices) % vertices
+
+
 def write_instance(inst: Instance) -> str:
     lines = [
         f"p hd {inst.mode.value} {inst.n}",
-        "x " + " ".join(str(v) for v in inst.x.vertices),
-        "y " + " ".join(str(v) for v in inst.y.vertices),
+        _vertex_line("x", inst.x.vertices),
+        _vertex_line("y", inst.y.vertices),
     ]
     return "\n".join(lines) + "\n"
 
@@ -168,8 +222,8 @@ def write_certificate(result: Certificate | SolveResult) -> str:
     cert = certificate_of(result) if isinstance(result, SolveResult) else result
     lines = [f"s {cert.status.value}"]
     if cert.status is SolveStatus.DECOMPOSED:
-        lines.append("z " + " ".join(str(v) for v in cert.z))
-        lines.append("w " + " ".join(str(v) for v in cert.w))
+        lines.append(_vertex_line("z", cert.z))
+        lines.append(_vertex_line("w", cert.w))
     lines.append(f"t {cert.elapsed_ms} {cert.nodes} {cert.edges_fixed}")
     return "\n".join(lines) + "\n"
 

@@ -20,6 +20,18 @@ class Mode(enum.Enum):
     DIRECTED = "directed"
 
 
+def _first_misfit(vertices):
+    """Where a sequence of n vertices first stops being a permutation of 1..n."""
+    n = len(vertices)
+    seen = set()
+    for i, v in enumerate(vertices, start=1):
+        if v not in range(1, n + 1):
+            return f"vertex {v} at position {i} is outside 1..{n}"
+        if v in seen:
+            return f"vertex {v} at position {i} repeats"
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class HamCycle:
     """A Hamiltonian cycle as a vertex sequence; the closing edge is implicit."""
@@ -34,7 +46,9 @@ class HamCycle:
             raise InvalidCycleError(f"a Hamiltonian cycle needs at least 3 vertices, got {n}")
         seen = set(self.vertices)
         if len(seen) != n or min(seen) != 1 or max(seen) != n:
-            raise InvalidCycleError(f"vertex sequence is not a permutation of 1..{n}: {self.vertices}")
+            raise InvalidCycleError(
+                f"vertex sequence is not a permutation of 1..{n}: {_first_misfit(self.vertices)}"
+            )
 
     @property
     def n(self) -> int:

@@ -75,6 +75,24 @@ def test_solve_malformed_file(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize("bad,problem", [
+    (17, "vertex 17 at position 4001 repeats"),
+    (5001, "vertex 5001 at position 4001 is outside 1..5000"),
+])
+def test_bad_cycle_error_names_one_vertex(capsys, tmp_path, bad, problem):
+    # the message names the first misfit, not the whole 5000-vertex line
+    y = list(range(1, 5001))
+    y[4000] = bad
+    path = tmp_path / "bad.txt"
+    path.write_text("p hd undirected 5000\nx" + " %d" * 5000 % tuple(range(1, 5001))
+                    + "\ny" + " %d" * 5000 % tuple(y) + "\n")
+    code, out, err = run(capsys, "solve", path)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: line 3: vertex sequence is not a permutation of 1..5000: {problem}\n"
+    assert len(err) < 200
+
+
 def test_gen_writes_deterministic_files(capsys, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -75,15 +76,39 @@ def test_gen_cycle_matches_frozen_shuffle():
     # the high index down, swap target next_u64() % (i + 1)
     assert gen_cycle(8, SplitMix64(42)).vertices == (4, 2, 7, 3, 5, 1, 8, 6)
 
-    def reference_shuffle(n, seed):
-        seq = list(range(1, n + 1))
-        stream = reference_stream(seed, n - 1)
-        for offset, i in enumerate(range(n - 1, 0, -1)):
-            j = stream[offset] % (i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-        return tuple(seq)
+    assert reference_shuffle(8, reference_stream(42, 7)) == (4, 2, 7, 3, 5, 1, 8, 6)
 
-    assert reference_shuffle(8, 42) == (4, 2, 7, 3, 5, 1, 8, 6)
+
+def reference_shuffle(n, stream):
+    """Fisher-Yates over 1..n from the high index down, one draw per swap."""
+    seq = list(range(1, n + 1))
+    for offset, i in enumerate(range(n - 1, 0, -1)):
+        j = stream[offset] % (i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+    return tuple(seq)
+
+
+# draws are computed 1024 at a time: these sizes end a block one short of,
+# at and one past a block boundary, and the seeds include states that wrap
+@pytest.mark.parametrize("seed", [0, 1 << 63, _MASK])
+@pytest.mark.parametrize("n", [1024, 1025, 1026, 2048, 2049, 2050])
+def test_block_draws_match_the_reference_across_block_edges(n, seed):
+    stream = reference_stream(seed, 2 * (n - 1) + 1)
+    rng = SplitMix64(seed)
+    x = gen_cycle(n, rng)
+    y = gen_cycle(n, rng)
+    assert x.vertices == reference_shuffle(n, stream[:n - 1])
+    # y's draws continue x's stream, and the state is where both left it
+    assert y.vertices == reference_shuffle(n, stream[n - 1:2 * (n - 1)])
+    assert rng.next_u64() == stream[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 63, _MASK, 2024])
+def test_draws_equal_single_steps(seed):
+    sizes = [1, 0, 1023, 1025, 2048, 7]
+    rng = SplitMix64(seed)
+    assert [v for m in sizes for v in rng.draws(m)] == reference_stream(seed, sum(sizes))
+    assert rng.state == (seed + sum(sizes) * 0x9E3779B97F4A7C15) & _MASK
 
 
 def test_gen_cycle_rejects_small_n():
@@ -113,6 +138,20 @@ def test_mode_flag_only_reinterprets_edges():
     d = gen_instance(16, Mode.DIRECTED, 5)
     assert u.x.vertices == d.x.vertices
     assert u.y.vertices == d.y.vertices
+
+
+# sha256 of the instance file, frozen from the draw-by-draw generator:
+# multi-block draws and the writer must leave every byte as it was
+FILE_DIGESTS = [
+    (2048, Mode.DIRECTED, 7, "35aa884fb172e2d14e331bb99fb0318193ef1ae12b94fd2e7e938e4f6ef3fb27"),
+    (4097, Mode.UNDIRECTED, 3, "72c96345eef4e5af7ea13a3ee41815fb2bf6c635f7df8e9dfa3d1ae4352e510f"),
+]
+
+
+@pytest.mark.parametrize("n,mode,seed,digest", FILE_DIGESTS)
+def test_instance_file_bytes_are_frozen(n, mode, seed, digest):
+    text = write_instance(gen_instance(n, mode, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_hundred_seeds_give_distinct_instances():
