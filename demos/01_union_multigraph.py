@@ -6,13 +6,8 @@ The union of two cycles on the same n vertices always has 2n edges and is
 show up twice, as parallel copies with distinct ids.
 """
 
-from hamdecomp import (
-    HamCycle,
-    Mode,
-    build_union,
-    cycle_edge_multiset,
-    parallel_edge_pairs,
-)
+from hamdecomp import HamCycle, Mode, build_union
+from hamdecomp.multigraph import cycle_edge_multiset, parallel_edge_pairs
 
 x = HamCycle((1, 2, 3, 4, 5, 6), Mode.UNDIRECTED)
 y = HamCycle((1, 4, 6, 2, 3, 5), Mode.UNDIRECTED)

@@ -10,7 +10,9 @@ in-ports, which the union lists in ``g.rings``. A directed cascade from a free
 ring fixes exactly that ring.
 """
 
-from hamdecomp import HamCycle, Mode, PartialState, Z, build_union, chain_fix, preprocess_parallel
+from hamdecomp import HamCycle, Mode, build_union
+from hamdecomp.bcef import preprocess_parallel
+from hamdecomp.state import PartialState, Z, chain_fix
 
 x = HamCycle((1, 2, 3, 4, 5, 6), Mode.DIRECTED)
 y = HamCycle((1, 4, 6, 2, 3, 5), Mode.DIRECTED)

@@ -47,6 +47,7 @@ EXIT_BROKEN_PIPE = 141
 MAX_N = 1 << 20
 
 _SOLVERS = {"bsp": solve_bsp, "bcef": solve_bcef}
+_MODES = sorted(m.value for m in Mode)
 
 CSV_HEADER = ["mode", "n", "seed", "algo", "status", "elapsed_ms", "nodes", "edges_fixed"]
 
@@ -82,14 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", type=Path)
-    p_solve.add_argument("--algo", choices=("bsp", "bcef"), default="bcef")
+    p_solve.add_argument("--algo", choices=_SOLVERS, default="bcef")
     p_solve.add_argument("--time-limit", type=_seconds, default=0.0, metavar="SECONDS")
     p_solve.add_argument("--node-limit", type=_nodes, default=0, metavar="NODES")
 
     p_gen = sub.add_parser("gen", help="generate seeded instance files")
     p_gen.add_argument("--n", type=int, required=True,
                        help=f"vertex count, from 3 to {MAX_N}")
-    p_gen.add_argument("--mode", choices=("directed", "undirected"), required=True)
+    p_gen.add_argument("--mode", choices=_MODES, required=True)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", type=Path, default=Path("."), metavar="DIR")
@@ -98,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", required=True, metavar="N1[,N2,...]",
                          help=f"comma-separated sizes, each from 3 to {MAX_N}")
     p_bench.add_argument("--mode", default="undirected", metavar="MODE1[,MODE2]",
-                         help="comma-separated modes (directed, undirected)")
+                         help=f"comma-separated modes ({', '.join(_MODES)})")
     p_bench.add_argument("--algo", default="bcef", metavar="ALGO1[,ALGO2]",
-                         help="comma-separated algorithms (bsp, bcef)")
+                         help=f"comma-separated algorithms ({', '.join(_SOLVERS)})")
     p_bench.add_argument("--count", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--time-limit", type=_seconds, default=0.0, metavar="SECONDS")
@@ -196,8 +197,8 @@ def _parse_list(raw, allowed, what, convert=str):
 
 
 def _cmd_bench(args) -> int:
-    modes = _parse_list(args.mode, ("directed", "undirected"), "mode")
-    algos = _parse_list(args.algo, ("bsp", "bcef"), "algorithm")
+    modes = _parse_list(args.mode, _MODES, "mode")
+    algos = _parse_list(args.algo, _SOLVERS, "algorithm")
     try:
         sizes = _parse_list(args.n, None, "size", int)
     except ValueError:

@@ -93,24 +93,25 @@ class SplitMix64:
         self.state = s
         return out
 
-    def next_u64(self) -> int:
-        return self.draws(1)[0]
-
 
 @dataclass(frozen=True)
 class Instance:
-    """One problem: a mode and two Hamiltonian cycles on the same vertices."""
+    """One problem: two Hamiltonian cycles on the same vertices, in one mode."""
 
-    mode: Mode
-    n: int
     x: HamCycle
     y: HamCycle
 
     def __post_init__(self):
-        if self.x.n != self.n or self.y.n != self.n:
-            raise InvalidCycleError("cycle length disagrees with instance n")
-        if self.x.mode is not self.mode or self.y.mode is not self.mode:
-            raise InvalidCycleError("cycle mode disagrees with instance mode")
+        if self.x.n != self.y.n or self.x.mode is not self.y.mode:
+            raise InvalidCycleError("cycles x and y differ in length or in mode")
+
+    @property
+    def n(self) -> int:
+        return self.x.n
+
+    @property
+    def mode(self) -> Mode:
+        return self.x.mode
 
 
 def gen_cycle(n: int, rng: SplitMix64, mode: Mode = Mode.UNDIRECTED) -> HamCycle:
@@ -128,7 +129,7 @@ def gen_instance(n: int, mode: Mode, seed: int) -> Instance:
     rng = SplitMix64(seed)
     x = gen_cycle(n, rng, mode)
     y = gen_cycle(n, rng, mode)
-    return Instance(mode, n, x, y)
+    return Instance(x, y)
 
 
 # -- instance text format -------------------------------------------------
@@ -179,9 +180,10 @@ def parse_instance(text: str) -> Instance:
     tokens = header.split()
     if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "hd":
         raise InstanceSyntaxError("header must be 'p hd <directed|undirected> <n>'", lineno)
-    if tokens[2] not in ("directed", "undirected"):
-        raise InstanceSyntaxError(f"unknown mode {tokens[2]!r}", lineno)
-    mode = Mode(tokens[2])
+    try:
+        mode = Mode(tokens[2])
+    except ValueError:
+        raise InstanceSyntaxError(f"unknown mode {tokens[2]!r}", lineno) from None
     try:
         n = int(tokens[3])
     except ValueError:
@@ -199,7 +201,7 @@ def parse_instance(text: str) -> Instance:
             cycles[tag] = HamCycle(vertices, mode)
         except InvalidCycleError as exc:
             raise InstanceSemanticError(str(exc), ln) from None
-    return Instance(mode, n, cycles["x"], cycles["y"])
+    return Instance(cycles["x"], cycles["y"])
 
 
 # -- certificate text format ----------------------------------------------

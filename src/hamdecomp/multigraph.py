@@ -79,7 +79,9 @@ class UnionMultigraph:
     head at in-port n + v, one arc of each component per port. ``ports``
     lists the edges at each port (index 0 is empty) and ``head_port`` the
     port of each edge's head; edge e joins ports ``tails[e]`` and
-    ``head_port[e]``. ``build_union`` makes every table; ``cycles`` is the
+    ``head_port[e]``. A port holds ``capacity`` edges of one component (2,
+    directed 1), and ``ends`` pairs each lone vertex's open ports, where the
+    path-end maps start. ``build_union`` makes every table; ``cycles`` is the
     pair it built them from, and None marks a graph of no known pair.
 
     A directed union splits into alternating cycles, its *rings*: an x-arc,
@@ -91,7 +93,8 @@ class UnionMultigraph:
     rings: ``rings`` is empty.
     """
 
-    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles", "rings")
+    __slots__ = ("n", "mode", "tails", "heads", "ports", "head_port", "cycles", "rings",
+                 "capacity", "ends")
 
     def __init__(self, n, mode, tails, heads, head_port, ports, cycles, rings=()):
         self.n = n
@@ -102,6 +105,9 @@ class UnionMultigraph:
         self.ports = ports
         self.cycles = cycles
         self.rings = rings
+        self.capacity = 1 if mode is Mode.DIRECTED else 2
+        # out-port v pairs with in-port n + v; with no port past n, v with v
+        self.ends = (0, *range(n + 1, len(ports)), *range(1, n + 1))
 
     @property
     def num_edges(self) -> int:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchedInstancesError, TooLargeError
-from .multigraph import HamCycle, Mode, UnionMultigraph
+from .multigraph import HamCycle, UnionMultigraph
 from .state import W, Z
 
 MAX_ORACLE_N = 14
@@ -103,19 +103,18 @@ class _Enumeration:
 
     Per level, the edge's two ports (see ``UnionMultigraph``) and its endpoint
     pair. Per component, the edges fixed at each port, and ``pend``, which
-    pairs the two open ports at the ends of every fixed path: a lone
-    undirected vertex is its own pair, a lone directed vertex the pair of its
-    out-port v and in-port n + v. An edge that joins the two ends of one path
-    closes a cycle. ``comps`` holds each assigned level's component, and
-    ``choices`` the components a level may take: Z alone for an edge pinned
-    by one of the two symmetry rules (see the module docstring).
+    pairs the two open ports at the ends of every fixed path and starts as the
+    graph's ``ends``. An edge that joins the two ends of one path closes a
+    cycle. ``comps`` holds each assigned level's component, and ``choices``
+    the components a level may take: Z alone for an edge pinned by one of the
+    two symmetry rules (see the module docstring).
     """
 
     __slots__ = ("n", "capacity", "ports", "pairs", "choices", "deg", "pend", "counts",
                  "comps", "found")
 
     def __init__(self, g: UnionMultigraph, order: list[int]):
-        n = self.n = g.n
+        self.n = g.n
         self.ports = [(g.tails[e], g.head_port[e]) for e in order]
         self.pairs = [(g.tails[e], g.heads[e]) for e in order]
         # the lower id of each shared edge's two copies goes to Z, and so
@@ -130,14 +129,9 @@ class _Enumeration:
         pinned.add(min((e for e in lowest.values() if e not in pinned), default=0))
         self.choices = [(Z,) if e in pinned else (Z, W) for e in order]
         size = len(g.ports)
-        if g.mode is Mode.DIRECTED:
-            ends = [0, *range(n + 1, size), *range(1, n + 1)]
-            self.capacity = 1
-        else:
-            ends = list(range(size))
-            self.capacity = 2
+        self.capacity = g.capacity
         self.deg = ([0] * size, [0] * size)
-        self.pend = (ends, ends[:])
+        self.pend = (list(g.ends), list(g.ends))
         self.counts = [0, 0]
         self.comps = [Z] * len(order)
         self.found = []

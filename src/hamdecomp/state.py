@@ -193,9 +193,8 @@ class PartialState:
     vertex is one port with room for two edges of each component, a directed
     vertex v an out-port v and an in-port n + v with room for one arc each.
     Every fixed path of a component has one open port at each end, and
-    ``pend`` pairs them; a lone undirected vertex is its own pair, a lone
-    directed vertex the pair (v, n + v). Fixing an edge that joins the two
-    ends of one path closes a cycle.
+    ``pend``, which starts as the graph's ``ends``, pairs them. Fixing an
+    edge that joins the two ends of one path closes a cycle.
 
     Public attributes read by the solvers:
       assignment  -- per-edge component, FREE when unassigned
@@ -243,13 +242,8 @@ class PartialState:
         self.edges_fixed = 0
         size = len(g.ports)
         self.deg = ([0] * size, [0] * size)
-        if self.directed:
-            ends = [0, *range(n + 1, size), *range(1, n + 1)]
-            self.capacity = 1
-        else:
-            ends = list(range(size))
-            self.capacity = 2
-        self.pend = (ends, ends[:])
+        self.capacity = g.capacity
+        self.pend = (list(g.ends), list(g.ends))
         self._placed = bytearray([4]) + bytearray(n)
 
     @property

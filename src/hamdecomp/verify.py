@@ -43,7 +43,3 @@ def decomposition_problems(inst: Instance, z_seq, w_seq) -> list[str]:
     if z_counts in (x_counts, y_counts) or w_counts in (x_counts, y_counts):
         problems.append("decomposition equals the input pair")
     return problems
-
-
-def is_valid_decomposition(inst: Instance, z_seq, w_seq) -> bool:
-    return not decomposition_problems(inst, z_seq, w_seq)

@@ -12,7 +12,7 @@ def feasible6():
     """
     x = HamCycle((1, 2, 3, 4, 5, 6), Mode.UNDIRECTED)
     y = HamCycle((1, 4, 6, 2, 3, 5), Mode.UNDIRECTED)
-    return Instance(Mode.UNDIRECTED, 6, x, y)
+    return Instance(x, y)
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def rigid6():
     """
     x = HamCycle((1, 2, 3, 4, 5, 6), Mode.DIRECTED)
     y = HamCycle((1, 4, 6, 2, 3, 5), Mode.DIRECTED)
-    return Instance(Mode.DIRECTED, 6, x, y)
+    return Instance(x, y)
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@ unit and acceptance tests."""
 
 import random
 
-from hamdecomp import FREE, HamCycle, Mode, PartialState, SolveLimits, W, Z, bcef
-from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT
+from hamdecomp import HamCycle, Mode, SolveLimits, bcef
+from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT, FREE, PartialState, W, Z
 from invariants import check_invariants, snapshot
 
 

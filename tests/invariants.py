@@ -6,7 +6,7 @@ Each reads the state only through its public fields, the way ``verify.py``
 referees a witness without the solvers' search state.
 """
 
-from hamdecomp import FREE, W, Z
+from hamdecomp.state import FREE, W, Z
 
 
 def counters(stats):
@@ -53,7 +53,7 @@ def _check_structure(state, comp, pairs):
     n = state.n
     deg = state.deg[comp]
     pend = state.pend[comp]
-    in_port = n if state.directed else 0  # vertex v's in-port is v + in_port
+    in_port = state.g.ends  # a lone vertex's path-end map: vertex v's in-port
     adj = [[] for _ in range(n + 1)]
     for u, v in pairs:
         adj[u].append(v)
@@ -70,7 +70,7 @@ def _check_structure(state, comp, pairs):
             if not options:
                 break
             prev, cur = cur, options[0]
-        ends = sorted({p for x in (s, cur) for p in (x, x + in_port)
+        ends = sorted({p for x in (s, cur) for p in (x, in_port[x])
                        if deg[p] < state.capacity})
         a, b = ends[0], ends[-1]
         assert pend[a] == b and pend[b] == a, "endpoint map stale at a path end"

@@ -3,28 +3,32 @@ from hypothesis import given, settings
 
 import helpers
 from hamdecomp import (
-    AlreadyFixedError,
     HamCycle,
     Instance,
     Mode,
-    PartialState,
     SolveLimits,
     SolveStatus,
-    W,
-    Z,
     bcef,
     build_union,
-    chain_fix,
     decomposition_problems,
     gen_instance,
-    is_valid_decomposition,
-    preprocess_parallel,
     second_decomposition_exists,
-    select_branch_edge,
     solve_bcef,
     solve_bsp,
 )
-from hamdecomp.state import CLOSES_NON_HAM_CYCLE, COMPLETES_COMPONENT, CONFLICT, FREE, OK
+from hamdecomp.bcef import preprocess_parallel, select_branch_edge
+from hamdecomp.errors import AlreadyFixedError
+from hamdecomp.state import (
+    CLOSES_NON_HAM_CYCLE,
+    COMPLETES_COMPONENT,
+    CONFLICT,
+    FREE,
+    OK,
+    PartialState,
+    W,
+    Z,
+    chain_fix,
+)
 from helpers import double_bridge_pair, solve_bcef_validated
 from invariants import counters
 from strategies import cycle_pairs
@@ -163,7 +167,7 @@ def test_rigid_showcase_is_exact_negative(rigid6, rigid6_union):
 def test_feasible_showcase_decomposed(feasible6, feasible6_union):
     r = solve_bcef_validated(feasible6_union, feasible6.x, feasible6.y)
     assert r.status is SolveStatus.DECOMPOSED
-    assert is_valid_decomposition(feasible6, r.z.vertices, r.w.vertices)
+    assert not decomposition_problems(feasible6, r.z.vertices, r.w.vertices)
 
 
 def test_node_budget_times_out(feasible6, feasible6_union):
@@ -187,8 +191,8 @@ def test_verdict_matches_oracle_with_invariant_scans(pair):
     r = solve_bcef_validated(g, x, y)
     assert (r.status is SolveStatus.DECOMPOSED) == second_decomposition_exists(g, x, y)
     if r.z is not None:
-        inst = Instance(x.mode, x.n, x, y)
-        assert is_valid_decomposition(inst, r.z.vertices, r.w.vertices)
+        inst = Instance(x, y)
+        assert not decomposition_problems(inst, r.z.vertices, r.w.vertices)
     assert 0 < r.stats.edges_fixed <= r.stats.nodes * 2 * x.n
 
 
@@ -210,7 +214,7 @@ def test_double_bridge_pairs_decided(seed):
         r = solve_bcef(build_union(a, b), a, b, SolveLimits(node_budget=1000))
         assert r.status is not SolveStatus.TIMED_OUT
         if r.status is SolveStatus.DECOMPOSED:
-            inst = Instance(Mode.DIRECTED, a.n, a, b)
+            inst = Instance(a, b)
             assert decomposition_problems(inst, r.z.vertices, r.w.vertices) == []
 
 

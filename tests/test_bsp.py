@@ -9,8 +9,8 @@ from hamdecomp import (
     SolveLimits,
     SolveStatus,
     build_union,
+    decomposition_problems,
     gen_instance,
-    is_valid_decomposition,
     second_decomposition_exists,
     solve_bsp,
 )
@@ -21,7 +21,7 @@ from strategies import cycle_pairs
 def test_feasible_showcase_is_decomposed(feasible6, feasible6_union):
     r = solve_bsp(feasible6_union, feasible6.x, feasible6.y)
     assert r.status is SolveStatus.DECOMPOSED
-    assert is_valid_decomposition(feasible6, r.z.vertices, r.w.vertices)
+    assert not decomposition_problems(feasible6, r.z.vertices, r.w.vertices)
 
 
 def test_rigid_directed_showcase_has_none(rigid6, rigid6_union):
@@ -69,7 +69,7 @@ def test_feasible_directed_instance_found():
     assert second_decomposition_exists(g, inst.x, inst.y)
     r = solve_bsp(g, inst.x, inst.y)
     assert r.status is SolveStatus.DECOMPOSED
-    assert is_valid_decomposition(inst, r.z.vertices, r.w.vertices)
+    assert not decomposition_problems(inst, r.z.vertices, r.w.vertices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,6 +80,6 @@ def test_verdict_matches_oracle(pair):
     r = solve_bsp(g, x, y)
     assert (r.status is SolveStatus.DECOMPOSED) == second_decomposition_exists(g, x, y)
     if r.z is not None:
-        inst = Instance(x.mode, x.n, x, y)
-        assert is_valid_decomposition(inst, r.z.vertices, r.w.vertices)
+        inst = Instance(x, y)
+        assert not decomposition_problems(inst, r.z.vertices, r.w.vertices)
     assert 0 < r.stats.edges_fixed <= r.stats.nodes * 2 * x.n

@@ -7,21 +7,21 @@ from hypothesis import strategies as st
 
 from hamdecomp import (
     Certificate,
+    HamCycle,
     Instance,
     InstanceSemanticError,
     InstanceSyntaxError,
     InvalidCycleError,
     Mode,
     SolveStatus,
-    SplitMix64,
     certificate_of,
-    gen_cycle,
     gen_instance,
     parse_certificate,
     parse_instance,
     write_certificate,
     write_instance,
 )
+from hamdecomp.instances import SplitMix64, gen_cycle
 from strategies import cycle_pairs
 
 _MASK = (1 << 64) - 1
@@ -51,19 +51,19 @@ SEED0_FIRST_THREE = (
 
 def test_generator_matches_frozen_vector():
     rng = SplitMix64(0)
-    assert tuple(rng.next_u64() for _ in range(3)) == SEED0_FIRST_THREE
+    assert tuple(rng.draws(3)) == SEED0_FIRST_THREE
     assert reference_stream(0, 3) == list(SEED0_FIRST_THREE)
 
 
 def test_generator_determinism():
     a = SplitMix64(12345)
     b = SplitMix64(12345)
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+    assert a.draws(10) == b.draws(10)
 
 
 def test_nearby_seeds_diverge():
-    assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
-    assert SplitMix64(1).next_u64() == 10451216379200822465
+    assert SplitMix64(1).draws(1) != SplitMix64(2).draws(1)
+    assert SplitMix64(1).draws(1) == [10451216379200822465]
 
 
 def test_gen_cycle_is_permutation():
@@ -73,7 +73,7 @@ def test_gen_cycle_is_permutation():
 
 def test_gen_cycle_matches_frozen_shuffle():
     # frozen from the straight-line reference: identity 1..8 shuffled from
-    # the high index down, swap target next_u64() % (i + 1)
+    # the high index down, swap target the next draw % (i + 1)
     assert gen_cycle(8, SplitMix64(42)).vertices == (4, 2, 7, 3, 5, 1, 8, 6)
 
     assert reference_shuffle(8, reference_stream(42, 7)) == (4, 2, 7, 3, 5, 1, 8, 6)
@@ -100,7 +100,7 @@ def test_block_draws_match_the_reference_across_block_edges(n, seed):
     assert x.vertices == reference_shuffle(n, stream[:n - 1])
     # y's draws continue x's stream, and the state is where both left it
     assert y.vertices == reference_shuffle(n, stream[n - 1:2 * (n - 1)])
-    assert rng.next_u64() == stream[-1]
+    assert rng.draws(1) == [stream[-1]]
 
 
 @pytest.mark.parametrize("seed", [0, 1 << 63, _MASK, 2024])
@@ -211,8 +211,18 @@ def test_parse_error_carries_line_number():
 @given(cycle_pairs(min_n=3, max_n=12))
 def test_instance_round_trip_identity(pair):
     x, y = pair
-    inst = Instance(x.mode, x.n, x, y)
+    inst = Instance(x, y)
     assert parse_instance(write_instance(inst)) == inst
+
+
+def test_instance_takes_n_and_mode_from_its_cycles():
+    x = HamCycle((1, 2, 3, 4), Mode.DIRECTED)
+    inst = Instance(x, HamCycle((1, 3, 2, 4), Mode.DIRECTED))
+    assert (inst.n, inst.mode) == (4, Mode.DIRECTED)
+    # x and y must agree in n and in mode
+    for y in (HamCycle((1, 2, 3), Mode.DIRECTED), HamCycle((1, 3, 2, 4), Mode.UNDIRECTED)):
+        with pytest.raises(InvalidCycleError):
+            Instance(x, y)
 
 
 # -- certificates -----------------------------------------------------------

@@ -73,7 +73,7 @@ VARIANTS = {
 def _solve(solver, x, y, limits=LIMITS):
     r = solver(build_union(x, y), x, y, limits)
     if r.status is SolveStatus.DECOMPOSED:
-        inst = Instance(x.mode, x.n, x, y)
+        inst = Instance(x, y)
         assert decomposition_problems(inst, r.z.vertices, r.w.vertices) == []
     return r.status
 

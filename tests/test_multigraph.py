@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamdecomp import (
-    HamCycle,
-    InvalidCycleError,
-    MismatchedInstancesError,
-    Mode,
-    build_union,
-    cycle_edge_multiset,
-    parallel_edge_pairs,
-)
+from hamdecomp import HamCycle, InvalidCycleError, MismatchedInstancesError, Mode, build_union
+from hamdecomp.multigraph import cycle_edge_multiset, parallel_edge_pairs
 from strategies import cycle_pairs
 
 

@@ -12,7 +12,6 @@ import hashlib
 
 import pytest
 
-import hamdecomp
 from hamdecomp import (
     bcef,
     build_union,
@@ -31,12 +30,11 @@ def _engine_used(*args, **kwargs):
 @pytest.fixture
 def no_engine(monkeypatch):
     monkeypatch.setattr(state.PartialState, "__init__", _engine_used)
-    # each helper in every namespace it is looked up in: its own module,
-    # bcef's import of it and the package's
-    for module in (multigraph, bcef, hamdecomp):
+    # each helper in every namespace it is looked up in: its own module and
+    # bcef's import of it
+    for module in (multigraph, bcef):
         monkeypatch.setattr(module, "parallel_edge_pairs", _engine_used)
-    for module in (bcef, hamdecomp):
-        monkeypatch.setattr(module, "preprocess_parallel", _engine_used)
+    monkeypatch.setattr(bcef, "preprocess_parallel", _engine_used)
 
 
 @pytest.mark.parametrize("mode,n,pair,count,digest", [row for row in CENSUS if row[1] == 12],
@@ -48,9 +46,7 @@ def test_census_without_the_engine(no_engine, mode, n, pair, count, digest):
     for switched_off in (lambda: state.PartialState(g),
                          lambda: multigraph.parallel_edge_pairs(g),
                          lambda: bcef.parallel_edge_pairs(g),
-                         lambda: hamdecomp.parallel_edge_pairs(g),
-                         lambda: bcef.preprocess_parallel(None, g),
-                         lambda: hamdecomp.preprocess_parallel(None, g)):
+                         lambda: bcef.preprocess_parallel(None, g)):
         with pytest.raises(AssertionError):
             switched_off()
     ds = enumerate_decompositions(g)

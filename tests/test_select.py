@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamdecomp import FREE, HamCycle, Mode, PartialState, W, Z, build_union, chain_fix, select_branch_edge
-from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT
+from hamdecomp import HamCycle, Mode, build_union
+from hamdecomp.bcef import select_branch_edge
+from hamdecomp.state import CLOSES_NON_HAM_CYCLE, CONFLICT, FREE, PartialState, W, Z, chain_fix
 from strategies import cycle_pairs
 
 

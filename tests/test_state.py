@@ -9,33 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamdecomp import (
-    AlreadyFixedError,
     HamCycle,
-    InvalidMarkError,
     MismatchedInstancesError,
     Mode,
-    NotCompleteError,
-    PartialState,
     SolveLimits,
     SolveStatus,
     UnionMultigraph,
-    W,
-    Z,
     build_union,
-    chain_fix,
-    cycle_edge_multiset,
     enumerate_decompositions,
     gen_instance,
     second_decomposition_exists,
     solve_bcef,
     solve_bsp,
 )
+from hamdecomp.errors import AlreadyFixedError, InvalidMarkError, NotCompleteError
+from hamdecomp.multigraph import cycle_edge_multiset
 from hamdecomp.state import (
     CLOSES_NON_HAM_CYCLE,
     COMPLETES_COMPONENT,
     CONFLICT,
     FREE,
     OK,
+    PartialState,
+    W,
+    Z,
+    chain_fix,
 )
 from helpers import scripted_roundtrip
 from invariants import check_invariants, component_pairs, snapshot

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hamdecomp import Mode, PartialState, bsp, build_union, gen_instance, oracle
+from hamdecomp import Mode, bsp, build_union, gen_instance, oracle
+from hamdecomp.state import PartialState
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
